@@ -22,6 +22,7 @@ from cdiff.closedform import (dickson_values, dickson_preimage_count,
 from cdiff import theorems
 
 SCHEMA = "cdiff/1"
+_ELEMENT_HELP = "int (reduced mod p, so 9 is 1 in GF(8)), g, or g^K"
 
 
 def _print_record(obj: dict) -> None:
@@ -218,18 +219,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = subs.add_parser("eval", help="evaluate x^d at one element")
     _add_field_args(sp, with_d=True)
-    sp.add_argument("-x", required=True, help="element expression (int, g, g^K)")
+    sp.add_argument("-x", required=True, help=f"element expression: {_ELEMENT_HELP}")
     sp.set_defaults(fn=_cmd_eval)
 
     sp = subs.add_parser("uniformity", help="one report via the power-map fast path")
     _add_field_args(sp, with_d=True)
-    sp.add_argument("-c", required=True, help="c expression (int, g, g^K)")
+    sp.add_argument("-c", required=True, help=f"c expression: {_ELEMENT_HELP}")
     sp.add_argument("--csv", action="store_true")
     sp.set_defaults(fn=_cmd_uniformity)
 
     sp = subs.add_parser("spectrum", help="one report via the full (a,b) scan")
     _add_field_args(sp, with_d=True)
-    sp.add_argument("-c", required=True, help="c expression (int, g, g^K)")
+    sp.add_argument("-c", required=True, help=f"c expression: {_ELEMENT_HELP}")
     sp.add_argument("--csv", action="store_true")
     sp.set_defaults(fn=_cmd_spectrum)
 
@@ -256,7 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = subs.add_parser("dickson", help="Dickson polynomial values / preimage counts")
     _add_field_args(sp)
     sp.add_argument("-m", type=int, required=True, help="Dickson degree")
-    sp.add_argument("--preimage", help="x0 expression; report |D_m^{-1}(D_m(x0))|")
+    sp.add_argument("--preimage", help=f"x0 expression ({_ELEMENT_HELP}); "
+                                       "report |D_m^{-1}(D_m(x0))|")
     sp.set_defaults(fn=_cmd_dickson)
 
     sp = subs.add_parser("gold-dist", help="solution-count distribution of "

@@ -93,6 +93,8 @@ def _power_tables(field: Field, d: int) -> tuple[np.ndarray, np.ndarray]:
 def power_uniformity(field: Field, d: int, c: int,
                      _tables: tuple[np.ndarray, np.ndarray] | None = None) -> CDDTReport:
     """Uniformity of x^d at c from the a = 1 row plus the a = 0 gcd term."""
+    if d < 1:
+        raise ValueError("power-map exponent must be >= 1")
     values, shifted = _tables if _tables is not None else _power_tables(field, d)
     row = np.bincount(field.sub_v(shifted, field.mul_v(c, values)),
                       minlength=field.q)
@@ -161,7 +163,10 @@ def c_set(field: Field, name: str) -> list[int]:
         return [c for c in every if c not in (1, minus_one)]
     if name.startswith("subfield:") or name.startswith("outside-subfield:"):
         kind, _, arg = name.partition(":")
-        m = int(arg)
+        m = int(arg) if arg.isdecimal() else 0
+        if m == 0 or field.n % m:
+            raise ValueError(f"c-set {name!r}: K must be a positive integer "
+                             f"dividing n = {field.n}")
         inside = kind == "subfield"
         return [c for c in every if field.in_subfield(c, m) == inside]
     raise ValueError(f"unknown c-set {name!r}")

@@ -90,9 +90,7 @@ def _poly_mulmod(a: list[int], b: list[int], modulus: list[int], p: int) -> list
             conv[k] = 0
             for i in range(n):
                 conv[k - n + i] = (conv[k - n + i] - c * modulus[i]) % p
-    out = conv[:n]
-    out += [0] * (n - len(out))
-    return out
+    return conv[:n]
 
 
 def _poly_powmod(base: list[int], e: int, modulus: list[int], p: int) -> list[int]:
@@ -108,11 +106,7 @@ def _poly_powmod(base: list[int], e: int, modulus: list[int], p: int) -> list[in
 
 
 def _digits(e: int, p: int, n: int) -> list[int]:
-    out = []
-    for _ in range(n):
-        out.append(e % p)
-        e //= p
-    return out
+    return [e // p**i % p for i in range(n)]
 
 
 def _encode(digits: list[int], p: int) -> int:
@@ -166,6 +160,17 @@ def _multiplicative_order_is_full(elem: list[int], modulus: list[int], p: int, q
     return True
 
 
+def _digit_add(x, y, p: int, n: int):
+    """Field sum of int64 arrays of encodings: digit-wise mod p (XOR for p = 2)."""
+    if p == 2:
+        return np.bitwise_xor(x, y)
+    out, pi = 0, 1
+    for _ in range(n):
+        out = out + ((x // pi + y // pi) % p) * pi
+        pi *= p
+    return out
+
+
 @dataclass(frozen=True)
 class Field:
     """A concrete GF(p^n): modulus, generator, and exp/log tables.
@@ -211,15 +216,12 @@ class Field:
                 raise ValueError("degree-1 modulus must be x")
 
         factors = prime_factors(q - 1) if q > 2 else []
-        if generator is None:
-            gen_digits = None
+        if generator is None:  # least encoding of full order; 1 when q == 2
+            gen_digits = [1] + [0] * (n - 1)
             for e in range(2, q):
-                cand = _digits(e, p, n)
-                if q == 2 or _multiplicative_order_is_full(cand, modulus, p, q, factors):
-                    gen_digits = cand
+                if _multiplicative_order_is_full(_digits(e, p, n), modulus, p, q, factors):
+                    gen_digits = _digits(e, p, n)
                     break
-            if gen_digits is None:  # q == 2: the only nonzero element
-                gen_digits = [1] + [0] * (n - 1)
         else:
             gen_digits = [int(c) % p for c in generator]
             if len(gen_digits) != n:
@@ -227,27 +229,28 @@ class Field:
             if q > 2 and not _multiplicative_order_is_full(gen_digits, modulus, p, q, factors):
                 raise ValueError("generator override does not have full order")
 
-        exp = np.zeros(max(q - 1, 1), dtype=np.int64)
-        log = np.zeros(q, dtype=np.int64)
-        acc = [1] + [0] * (n - 1)
-        for k in range(q - 1):
-            enc = _encode(acc, p)
-            exp[k] = enc
-            log[enc] = k
-            acc = _poly_mulmod(acc, gen_digits, modulus, p)
-        if _encode(acc, p) != 1:
+        # exp[k] = g^k by doubling.  x -> x*h with h = g^B is GF(p)-linear, so
+        # exp[B:2B] = exp[0:B]*h is the image of the low t digits plus that of
+        # the high n-t digits, read from tables of the matrix of h on digit patterns.
+        powers, t = p ** np.arange(n, dtype=np.int64), (n + 1) // 2
+        low = np.arange(p**t, dtype=np.int64)[:, None] // powers[:t] % p
+        high = np.arange(p**(n - t), dtype=np.int64)[:, None] // powers[:n - t] % p
+        exp, h = np.ones(1, dtype=np.int64), gen_digits
+        while len(exp) < q - 1:
+            mat = np.array([_poly_mulmod(row, h, modulus, p)
+                            for row in np.eye(n, dtype=int).tolist()], dtype=np.int64)
+            low_img, high_img = low @ mat[:t] % p @ powers, high @ mat[t:] % p @ powers
+            x = exp[:q - 1 - len(exp)]
+            exp = np.concatenate([exp, _digit_add(low_img[x % p**t], high_img[x // p**t], p, n)])
+            h = _poly_mulmod(h, h, modulus, p)
+        if _poly_mulmod(gen_digits, _digits(int(exp[-1]), p, n), modulus, p) != _digits(1, p, n):
             raise ValueError("generator order is not q-1")  # defensive; validated above
-
-        # negation table, digit-wise
-        idx = np.arange(q, dtype=np.int64)
-        neg = np.zeros(q, dtype=np.int64)
-        pi = 1
-        for _ in range(n):
-            neg += ((p - (idx // pi) % p) % p) * pi
-            pi *= p
-        exp.setflags(write=False)
-        log.setflags(write=False)
-        neg.setflags(write=False)
+        log = np.zeros(q, dtype=np.int64)
+        log[exp] = np.arange(q - 1, dtype=np.int64)
+        neg = np.zeros(q, dtype=np.int64)   # -x = x * g^((q-1)/2) for odd p, x for p = 2
+        neg[exp] = np.roll(exp, -((q - 1) // 2) if p > 2 else 0)
+        for table in (exp, log, neg):
+            table.setflags(write=False)
 
         return Field(p=p, n=n, q=q, modulus=tuple(modulus),
                      generator=int(exp[1]) if q > 2 else 1,
@@ -339,13 +342,7 @@ class Field:
     # -- vectorized arithmetic (int64 arrays of encodings) -------------------
 
     def add_v(self, x, y):
-        if self.p == 2:
-            return np.bitwise_xor(x, y)
-        p, out, pi = self.p, 0, 1
-        for _ in range(self.n):
-            out = out + ((x // pi + y // pi) % p) * pi
-            pi *= p
-        return out
+        return _digit_add(x, y, self.p, self.n)
 
     def neg_v(self, x):
         return self.neg_table[x]

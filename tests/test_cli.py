@@ -30,6 +30,13 @@ def test_parse_element():
     assert parse_element(f, "5") == 2        # 5 mod 3
 
 
+def test_integer_elements_are_reduced_mod_p(capsys):
+    assert parse_element(build_field(2, 3), "9") == 1
+    _, by_nine, _ = run_cli(capsys, "uniformity", "-p", "2", "-n", "3", "-d", "3", "-c", "9")
+    _, by_one, _ = run_cli(capsys, "uniformity", "-p", "2", "-n", "3", "-d", "3", "-c", "1")
+    assert by_nine == by_one
+
+
 def test_field_command(capsys):
     code, out, _ = run_cli(capsys, "field", "-p", "2", "-n", "3")
     assert code == 0
@@ -136,6 +143,20 @@ def test_usage_errors_exit_2(capsys):
     code, _, err = run_cli(capsys, "uniformity", "-p", "9", "-n", "1",
                            "-d", "2", "-c", "0")
     assert code == 2 and "prime" in err
+
+
+def test_uniformity_rejects_exponent_zero(capsys):
+    code, out, err = run_cli(capsys, "uniformity", "-p", "2", "-n", "3",
+                             "-d", "0", "-c", "0")
+    assert code == 2 and out == ""
+    assert "power-map exponent must be >= 1" in err
+
+
+def test_sweep_bad_c_set_names_it(capsys):
+    code, out, err = run_cli(capsys, "sweep", "-p", "3", "-n", "2", "-d", "2",
+                             "--c-set", "subfield:0")
+    assert code == 2 and out == ""
+    assert "'subfield:0'" in err and "modulo" not in err
 
 
 def test_dickson_commands(capsys):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -192,6 +193,21 @@ def test_named_c_sets():
     assert set(c_set(f, "outside-subfield:1")) == set(range(9)) - {0, 1, 2}
     with pytest.raises(ValueError):
         c_set(f, "bogus")
+
+
+@pytest.mark.parametrize("name", ["subfield:0", "outside-subfield:0", "subfield:x",
+                                  "outside-subfield:1.5", "subfield:", "subfield:3"])
+def test_c_set_rejects_bad_subfield_degree(name):
+    f = build_field(3, 2)
+    with pytest.raises(ValueError, match=re.escape(f"c-set {name!r}")):
+        c_set(f, name)
+
+
+@pytest.mark.parametrize("d", [0, -3])
+def test_power_uniformity_rejects_exponent_below_one(d):
+    f = build_field(2, 3)
+    with pytest.raises(ValueError, match="power-map exponent must be >= 1"):
+        power_uniformity(f, d, 0)
 
 
 def test_uniformity_invariant_under_modulus_choice():

@@ -5,7 +5,7 @@ import pytest
 
 from cdiff.field import Field, build_field, is_irreducible, is_prime
 
-from conftest import ref_poly_mulmod, ref_eval_poly
+from conftest import ref_add, ref_poly_mulmod, ref_eval_poly
 
 
 # ---------------------------------------------------------------------------
@@ -118,6 +118,52 @@ def test_exp_log_bijection():
         assert sorted(int(v) for v in f.exp) == list(range(1, f.q))
         for x in range(1, f.q):
             assert int(f.exp[f.log[x]]) == x
+
+
+def _ref_order(coeffs, modulus, p):
+    """Multiplicative order of a nonzero element by a schoolbook walk."""
+    one = [1] + [0] * (len(modulus) - 2)
+    acc, k = list(coeffs), 1
+    while acc != one:
+        acc, k = ref_poly_mulmod(acc, coeffs, modulus, p), k + 1
+    return k
+
+
+ORACLE_FIELDS = ([(2, 1, None), (3, 1, None), (7, 1, None), (13, 1, None)]
+                 + [(2, n, None) for n in range(3, 11)]
+                 + [(3, n, None) for n in range(2, 7)]
+                 + [(5, 2, None), (13, 2, None),
+                    (3, 2, [2, 2, 1]), (2, 4, [1, 0, 0, 1, 1])])
+
+
+@pytest.mark.parametrize("p,n,modulus", ORACLE_FIELDS)
+def test_exp_log_tables_match_schoolbook_walk(p, n, modulus):
+    """exp[k+1] = exp[k] * g, walked with the reference mulmod, not the tables."""
+    f = Field.build(p, n, modulus=modulus)
+    mod, g = list(f.modulus), list(f.coeffs(f.generator))
+    assert f.exp.dtype == f.log.dtype == f.neg_table.dtype == np.int64
+    assert len(f.exp) == f.q - 1 and len(f.log) == len(f.neg_table) == f.q
+    assert not (f.exp.flags.writeable or f.log.flags.writeable
+                or f.neg_table.flags.writeable)
+    assert int(f.exp[0]) == 1 and int(f.log[0]) == 0
+    for k in range(f.q - 1):
+        nxt = ref_poly_mulmod(list(f.coeffs(f.exp[k])), g, mod, p)
+        assert f.element(nxt) == int(f.exp[(k + 1) % (f.q - 1)])
+        assert int(f.log[f.exp[k]]) == k
+    for x in range(f.q):
+        assert ref_add(list(f.coeffs(x)), list(f.coeffs(f.neg_table[x])), p) == [0] * n
+    # the default generator is the least encoding of full order
+    if modulus is None and f.q <= 64:
+        assert _ref_order(g, mod, p) == f.q - 1
+        assert all(_ref_order(list(f.coeffs(e)), mod, p) < f.q - 1
+                   for e in range(2, f.generator))
+
+
+@pytest.mark.parametrize("p,n,generator", [(3, 2, [2, 0]), (5, 2, [2, 1]),
+                                           (2, 4, [0, 0, 0, 1]), (7, 1, [2])])
+def test_generator_override_without_full_order_rejected(p, n, generator):
+    with pytest.raises(ValueError, match="full order"):
+        Field.build(p, n, generator=generator)
 
 
 @pytest.mark.parametrize("p,n", [(3, 2), (5, 2), (2, 4), (7, 1)])
