@@ -1,6 +1,9 @@
+import hashlib
+import json
+
 import pytest
 
-from cdiff.field import build_field
+from cdiff.field import build_field, is_prime, DEFAULT_SIZE_CAP
 from cdiff.ddt import power_uniformity
 from cdiff.theorems import (Exact, UpperBound, ValueSet, Instance, TheoremCase,
                             registry, case_by_id, applicable_cases, verify_case,
@@ -166,3 +169,42 @@ def test_reproduce_table_rows():
     sq5 = [row for row in rows if row["case"] == "square" and row["p"] == 5
            and row["n"] == 1]
     assert sq5 and sq5[0]["observed"] == "{2}"
+
+
+# ---------------------------------------------------------------------------
+# pinned registry: grids and applicability, byte for byte
+# ---------------------------------------------------------------------------
+
+def _sha256(lines):
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def test_default_grids_are_pinned():
+    lines = []
+    for case in registry():
+        insts = sorted(case.default_instances(DEFAULT_SIZE_CAP),
+                       key=lambda i: (i.p, i.n, i.d))
+        for i in insts:
+            lines.append(json.dumps([
+                case.id, i.p, i.n, i.d, i.k, i.c, i.c_label, i.predicted.render(),
+                list(i.c_values) if i.c_values is not None else None]))
+    assert len(lines) == 25327
+    assert _sha256(lines) == \
+        "da6a3680abfa814d80c4aece157e999ea2d690398af2c7606ab53281da5d39a4"
+
+
+def test_applicable_cases_are_pinned():
+    fields = sorted((build_field(p, n) for p in range(2, 82) if is_prime(p)
+                     for n in range(1, 7) if 2 < p**n <= 81), key=lambda f: f.q)
+    assert len(fields) == 31
+    lines = []
+    for f in fields:
+        for d in range(1, f.q):
+            for c in range(f.q):
+                hits = [(case.id, case.predict(f, d, c).render())
+                        for case in applicable_cases(f, d, c)]
+                if hits:
+                    lines.append(json.dumps([f.p, f.n, d, c, hits]))
+    assert len(lines) == 3973
+    assert _sha256(lines) == \
+        "32b1f3da0fdef4d4d00a24c412a979d5006fc244e4f2902dd5f09c1e8efa28ae"
