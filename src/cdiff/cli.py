@@ -2,8 +2,7 @@
 
 Every subcommand emits JSON-lines records tagged "schema": "cdiff/1" (CSV via
 --csv where a record stream has fixed columns).  Records are emitted in
-canonical parameter order, so identical inputs yield byte-identical output
-regardless of the worker count.
+canonical parameter order, so identical inputs yield byte-identical output.
 """
 
 from __future__ import annotations
@@ -14,8 +13,7 @@ import sys
 
 from cdiff.field import Field, build_field, DEFAULT_SIZE_CAP
 from cdiff.funcs import PowerMap
-from cdiff.ddt import (CDDTReport, general_uniformity, power_uniformity, sweep,
-                       c_set, default_threads)
+from cdiff.ddt import CDDTReport, general_uniformity, power_uniformity, sweep, c_set
 from cdiff.closedform import (dickson_values, dickson_preimage_count,
                               dickson_params, gold_solution_distribution,
                               sign_partition)
@@ -23,6 +21,7 @@ from cdiff import theorems
 
 SCHEMA = "cdiff/1"
 _ELEMENT_HELP = "int (reduced mod p, so 9 is 1 in GF(8)), g, or g^K"
+_THREADS_HELP = "accepted and ignored; the run is single-threaded"
 
 
 def _print_record(obj: dict) -> None:
@@ -34,9 +33,13 @@ def parse_element(field: Field, text: str) -> int:
     text = text.strip()
     if text == "g":
         return field.generator
-    if text.startswith("g^"):
-        return field.g_pow(int(text[2:]))
-    return field.from_int(int(text))
+    power = text.startswith("g^")
+    try:
+        value = int(text[2:] if power else text)
+    except ValueError:
+        raise ValueError(f"element expression {text!r} is not an int, g or g^K") \
+            from None
+    return field.g_pow(value) if power else field.from_int(value)
 
 
 def _spectrum_csv(report: CDDTReport) -> str:
@@ -104,7 +107,7 @@ def _cmd_spectrum(args) -> int:
 def _cmd_sweep(args) -> int:
     f = build_field(args.p, args.n)
     cs = c_set(f, args.c_set)
-    reports = sweep(f, PowerMap(args.d), cs, threads=args.threads)
+    reports = sweep(f, PowerMap(args.d), cs)
     if args.csv:
         print(_CSV_HEADER)
         for report in reports:
@@ -127,8 +130,7 @@ def _instance_record(case_id: str, result) -> dict:
 
 def _cmd_verify(args) -> int:
     ids = [args.case] if args.case else None
-    reports = theorems.verify_all(case_ids=ids, max_size=args.max_size,
-                                  threads=args.threads)
+    reports = theorems.verify_all(case_ids=ids, max_size=args.max_size)
     failed = False
     for report in reports:
         for result in report.results:
@@ -142,8 +144,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    markdown, rows = theorems.reproduce_table(max_size=args.max_size,
-                                              threads=args.threads)
+    markdown, rows = theorems.reproduce_table(max_size=args.max_size)
     if args.csv:
         header = ["case", "p", "n", "d", "condition", "predicted", "observed", "verdict"]
         print(",".join(header))
@@ -238,19 +239,19 @@ def build_parser() -> argparse.ArgumentParser:
     _add_field_args(sp, with_d=True)
     sp.add_argument("--c-set", default="all",
                     help="all | not-one | not-pm-one | subfield:K | outside-subfield:K")
-    sp.add_argument("--threads", type=int, default=None)
+    sp.add_argument("--threads", type=int, help=_THREADS_HELP)
     sp.add_argument("--csv", action="store_true")
     sp.set_defaults(fn=_cmd_sweep)
 
     sp = subs.add_parser("verify", help="run registry rows against brute force")
     sp.add_argument("--case", help="restrict to one case id")
     sp.add_argument("--max-size", type=int, default=DEFAULT_SIZE_CAP)
-    sp.add_argument("--threads", type=int, default=None)
+    sp.add_argument("--threads", type=int, help=_THREADS_HELP)
     sp.set_defaults(fn=_cmd_verify)
 
     sp = subs.add_parser("table", help="emit the claim-verdict table")
     sp.add_argument("--max-size", type=int, default=DEFAULT_SIZE_CAP)
-    sp.add_argument("--threads", type=int, default=None)
+    sp.add_argument("--threads", type=int, help=_THREADS_HELP)
     sp.add_argument("--csv", action="store_true")
     sp.set_defaults(fn=_cmd_table)
 
@@ -277,8 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "threads", None) is None and hasattr(args, "threads"):
-        args.threads = default_threads()
     try:
         return args.fn(args)
     except (ValueError, KeyError, ZeroDivisionError) as exc:

@@ -247,6 +247,8 @@ class GoldDistribution:
 
 
 def gold_solution_distribution(n: int, k: int) -> GoldDistribution:
+    if k < 1:
+        raise ValueError(f"Gold exponent k must be >= 1, got k = {k}")
     field = build_field(2, n)
     x = field.elements()
     w = np.bitwise_xor(field.pow_all(2**k + 1), x)     # beta = z^(2^k+1) + z

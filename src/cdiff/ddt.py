@@ -10,14 +10,12 @@ c != 1, so one row plus a gcd determines the uniformity at Theta(q) cost.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from cdiff.field import Field
-from cdiff.funcs import FunctionSpec, PowerMap, LookupTable, value_table
+from cdiff.funcs import FunctionSpec, PowerMap, value_table
 
 
 def classification_of(uniformity: int) -> str:
@@ -120,35 +118,17 @@ def uniformity(field: Field, func: FunctionSpec, c: int) -> CDDTReport:
     return general_uniformity(field, func, c)
 
 
-def default_threads() -> int:
-    try:
-        return max(1, int(os.environ.get("CDIFF_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def sweep(field: Field, func: FunctionSpec, c_values, threads: int | None = None,
-          general: bool = False) -> list[CDDTReport]:
-    """Independent reports for every c, in canonical element order regardless
-    of the execution schedule."""
+def sweep(field: Field, func: FunctionSpec, c_values,
+          threads: int | None = None) -> list[CDDTReport]:
+    """Independent reports for every c, in canonical element order.  `threads`
+    is accepted and ignored: the c values run one after another."""
     cs = sorted(int(c) for c in c_values)
     if not cs:
         raise ValueError("empty c-set")
-    if threads is None:
-        threads = default_threads()
-
-    if isinstance(func, PowerMap) and not general:
+    if isinstance(func, PowerMap):
         tables = _power_tables(field, func.d)
-        run = lambda c: power_uniformity(field, func.d, c, _tables=tables)
-    else:
-        if isinstance(func, PowerMap):
-            func = LookupTable(tuple(int(v) for v in value_table(field, func)))
-        run = lambda c: general_uniformity(field, func, c)
-
-    if threads <= 1 or len(cs) < 2:
-        return [run(c) for c in cs]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(run, cs))
+        return [power_uniformity(field, func.d, c, _tables=tables) for c in cs]
+    return [general_uniformity(field, func, c) for c in cs]
 
 
 def c_set(field: Field, name: str) -> list[int]:

@@ -1,6 +1,10 @@
 """Registry of claim rows about the c-differential uniformity of power maps,
-each with an applicability predicate and a prediction, checked against the
-exhaustive counting engine.
+checked against the exhaustive counting engine.
+
+Each row is declared once (`Row`): its exponent family, its ordered branches
+of c-conditions with labels and predictions, and the fields of its default
+grid.  The applicability predicate, the prediction and the grid of the
+resulting `TheoremCase` are all derived from that declaration (`_case`).
 
 Exact rows sweep every c satisfying their condition (a single c could mask a
 counterexample at these field sizes).  Upper-bound rows additionally record
@@ -12,7 +16,6 @@ against the expected set.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -104,8 +107,40 @@ class TheoremCase:
 
 
 # ---------------------------------------------------------------------------
-# Helpers
+# Row declarations
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Branch:
+    """One condition on c within a row: `accepts(field, k, c)` filters c, and
+    `label` and `predicted` are constants or functions of (field, k)."""
+    label: str | Callable[[Field, int | None], str]
+    accepts: Callable[[Field, int | None, int], bool]
+    predicted: Prediction | Callable[[Field, int | None], Prediction]
+
+
+@dataclass(frozen=True)
+class Row:
+    """A claim, declared once.
+
+    `family(field)` lists the exponents (d, k) the claim covers over any
+    field.  The default grid runs the family over `fields`, whose entries are
+    (p, n), or (p, n, k) to keep only the exponent with that k.  For each
+    exponent the grid takes, branch by branch, every c in ascending order
+    that the branch accepts; `sweep`, if set, then adds one aggregated
+    instance over the last branch's c values.
+    """
+    id: str
+    statement: str
+    fields: tuple[tuple, ...]
+    family: Callable[[Field], list[tuple[int, int | None]]]
+    branches: tuple[Branch, ...]
+    sweep: Callable[[Field], ValueSet] | None = None
+
+
+def _at(value, field: Field, k: int | None):
+    return value(field, k) if callable(value) else value
+
 
 def _fexp(q: int, d: int) -> int:
     """Functional exponent: x^d and x^e agree on GF(q) iff their exponents
@@ -114,103 +149,62 @@ def _fexp(q: int, d: int) -> int:
     return r if r else q - 1
 
 
-def _same_map(q: int, d1: int, d2: int) -> bool:
-    return _fexp(q, d1) == _fexp(q, d2)
+def _case(row: Row) -> TheoremCase:
+    """Derive the predicate, the prediction and the default grid of a row.
 
+    At (field, d, c) the row looks up the first family exponent that is the
+    same map as x^d; it applies when one of its branches accepts c, and the
+    first such branch gives the prediction.
+    """
+    def branch_at(field, d, c):
+        d = _fexp(field.q, d)
+        for e, k in row.family(field):
+            if _fexp(field.q, e) == d:
+                return next((b for b in row.branches if b.accepts(field, k, c)), None), k
+        return None, None
 
-def _minus_one(p: int) -> int:
-    return p - 1        # constant polynomial p-1
-
-
-def _gold_k(field: Field, d: int) -> int | None:
-    """The k in [1, n-1] with x^d = x^(p^k+1), if any."""
-    for k in range(1, field.n):
-        if _same_map(field.q, d, field.p**k + 1):
-            return k
-    return None
-
-
-def _half_gold_ks(field: Field, d: int) -> list[int]:
-    """All k in [1, 2n-1] with x^d = x^((p^k+1)/2) (odd p)."""
-    return [k for k in range(1, 2 * field.n)
-            if _same_map(field.q, d, (field.p**k + 1) // 2)]
-
-
-def _c_sweep_values(field: Field, exclude: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(c for c in range(field.q) if c not in exclude)
-
-
-def _fields(pairs: list[tuple[int, int]], max_size: int) -> list[Field]:
-    return [build_field(p, n) for p, n in pairs if p**n <= max_size]
-
-
-# ---------------------------------------------------------------------------
-# Case constructors
-# ---------------------------------------------------------------------------
-
-def _case_square() -> TheoremCase:
     def applies(field, d, c):
-        return field.p > 2 and _same_map(field.q, d, 2) and c != 1
+        return branch_at(field, d, c)[0] is not None
 
     def predict(field, d, c):
-        return Exact(2)
+        branch, k = branch_at(field, d, c)
+        return None if branch is None else _at(branch.predicted, field, k)
 
-    def grid(max_size):
+    def default_instances(max_size):
         out = []
-        for f in _fields(_ODD_FIELDS, max_size):
-            for c in range(f.q):
-                if c != 1:
-                    out.append(Instance(f.p, f.n, 2, None, c, "c != 1", Exact(2)))
+        for p, n, *pinned_k in row.fields:
+            if p**n > max_size:
+                continue
+            f = build_field(p, n)
+            for d, k in row.family(f):
+                if pinned_k and k != pinned_k[0]:
+                    continue
+                for branch in row.branches:
+                    label, predicted = _at(branch.label, f, k), _at(branch.predicted, f, k)
+                    cs = tuple(c for c in range(f.q) if branch.accepts(f, k, c))
+                    out.extend(Instance(p, n, d, k, c, label, predicted) for c in cs)
+                if row.sweep is not None:
+                    out.append(Instance(p, n, d, k, None, f"sweep {label}",
+                                        row.sweep(f), c_values=cs))
         return out
 
-    return TheoremCase("square", "x^2 has uniformity 2 at every c != 1 (odd p)",
-                       applies, predict, grid)
+    return TheoremCase(row.id, row.statement, applies, predict, default_instances)
 
 
-def _case_inverse_c0() -> TheoremCase:
-    def applies(field, d, c):
-        return field.q > 2 and _same_map(field.q, d, field.q - 2) and c == 0
+# ---------------------------------------------------------------------------
+# Conditions, families and predictions shared by the rows
+# ---------------------------------------------------------------------------
 
-    def predict(field, d, c):
-        return Exact(1)
+def _c_minus_one(predicted) -> Branch:
+    return Branch("c = -1", lambda f, k, c: c == f.p - 1, predicted)
 
-    def grid(max_size):
-        return [Instance(f.p, f.n, f.q - 2, None, 0, "c = 0", Exact(1))
-                for f in _fields(_ALL_FIELDS, max_size) if f.q > 2]
 
-    return TheoremCase("inverse-c0", "x^(q-2) has uniformity 1 at c = 0",
-                       applies, predict, grid)
+def _c_not_one(predicted) -> Branch:
+    return Branch("c != 1", lambda f, k, c: c != 1, predicted)
 
 
 def _inverse_bin_condition(field: Field, c: int) -> bool:
     return field.trace(c) == 1 and field.trace(field.inv(c)) == 1
-
-
-def _case_inverse_bin(two_case: bool) -> TheoremCase:
-    cid = "inverse-bin-2" if two_case else "inverse-bin-3"
-    label = "Tr(c) = Tr(1/c) = 1" if two_case else "Tr(c) = 0 or Tr(1/c) = 0"
-    value = 2 if two_case else 3
-
-    def applies(field, d, c):
-        if field.p != 2 or field.n < 3 or c in (0, 1):
-            return False
-        if not _same_map(field.q, d, field.q - 2):
-            return False
-        return _inverse_bin_condition(field, c) == two_case
-
-    def predict(field, d, c):
-        return Exact(value)
-
-    def grid(max_size):
-        out = []
-        for f in _fields([(2, n) for n in range(3, 9)], max_size):
-            for c in range(2, f.q):
-                if _inverse_bin_condition(f, c) == two_case:
-                    out.append(Instance(f.p, f.n, f.q - 2, None, c, label, Exact(value)))
-        return out
-
-    return TheoremCase(cid, f"binary x^(q-2) has uniformity {value} when {label} (c != 0, 1)",
-                       applies, predict, grid)
 
 
 def _inverse_odd_etas(field: Field, c: int) -> tuple[int, int]:
@@ -220,399 +214,201 @@ def _inverse_odd_etas(field: Field, c: int) -> tuple[int, int]:
     return e1, e2
 
 
-def _case_inverse_odd(two_case: bool) -> TheoremCase:
-    cid = "inverse-odd-2" if two_case else "inverse-odd-3"
-    label = ("eta(c^2-4c) != 1 and eta(1-4c) != 1" if two_case
-             else "eta(c^2-4c) = 1 or eta(1-4c) = 1")
-    value = 2 if two_case else 3
-
-    def condition(field, c):
-        e1, e2 = _inverse_odd_etas(field, c)
-        return (e1 != 1 and e2 != 1) if two_case else (e1 == 1 or e2 == 1)
-
-    def applies(field, d, c):
-        if field.p == 2 or field.q <= 3 or c in (0, 1):
-            return False
-        if not _same_map(field.q, d, field.q - 2):
-            return False
-        return condition(field, c)
-
-    def predict(field, d, c):
-        return Exact(value)
-
-    def grid(max_size):
-        out = []
-        pairs = [(p, n) for p in (3, 5, 7) for n in (1, 2, 3) if p**n > 3]
-        for f in _fields(pairs, max_size):
-            for c in range(2, f.q):
-                if condition(f, c):
-                    out.append(Instance(f.p, f.n, f.q - 2, None, c, label, Exact(value)))
-        return out
-
-    return TheoremCase(cid, f"odd-p x^(q-2) has uniformity {value} when {label} (c != 0, 1)",
-                       applies, predict, grid)
+def _half_pn_plus1_refined(field: Field, c: int) -> bool:
+    if field.q % 4 != 1:
+        return False
+    ratio = field.mul(field.sub(1, c), field.inv(field.add(1, c)))
+    return field.quadratic_character(ratio) == 1
 
 
-def _case_gold_subfield() -> TheoremCase:
-    def applies(field, d, c):
-        k = _gold_k(field, d)
-        if k is None or c == 1:
-            return False
-        return field.in_subfield(c, math.gcd(k, field.n))
-
-    def predict(field, d, c):
-        return Exact(math.gcd(d, field.q - 1))
-
-    def grid(max_size):
-        out = []
-        for (p, n, k) in [(3, 2, 1), (3, 4, 2), (5, 2, 1), (7, 2, 1), (2, 4, 2), (2, 6, 3)]:
-            if p**n > max_size:
-                continue
-            f = build_field(p, n)
-            d = p**k + 1
-            g = math.gcd(k, n)
-            label = f"c in GF({p}^{g}), c != 1"
-            for c in range(f.q):
-                if c != 1 and f.in_subfield(c, g):
-                    out.append(Instance(p, n, d, k, c, label,
-                                        Exact(math.gcd(d, f.q - 1))))
-        return out
-
-    return TheoremCase("gold-subfield",
-                       "x^(p^k+1) has uniformity gcd(d, q-1) for subfield c != 1",
-                       applies, predict, grid)
+def _inverse(field: Field) -> list[tuple[int, None]]:
+    return [(field.q - 2, None)] if field.q > 2 else []
 
 
-def _case_gold_binary_outside() -> TheoremCase:
-    def side_condition(n, k):
-        dd = math.gcd(n, k)
-        m = n // dd
+def _binary_inverse(field: Field) -> list[tuple[int, None]]:
+    return _inverse(field) if field.p == 2 and field.n >= 3 else []
+
+
+def _odd_inverse(field: Field) -> list[tuple[int, None]]:
+    return _inverse(field) if field.p > 2 and field.q > 3 else []
+
+
+def _half_q_plus_1(field: Field) -> list[tuple[int, None]]:
+    return [((field.q + 1) // 2, None)] if field.p > 2 else []
+
+
+def _gold(field: Field) -> list[tuple[int, int]]:
+    """x^(p^k+1) for k in [1, n-1]; distinct k give distinct maps."""
+    return [(field.p**k + 1, k) for k in range(1, field.n)]
+
+
+def _binary_gold(field: Field) -> list[tuple[int, int]]:
+    """Binary Gold exponents whose m = n/gcd(n, k) is odd and >= 3, or even
+    and >= 4."""
+    def m_ok(k):
+        m = field.n // math.gcd(field.n, k)
         return m >= 3 if m % 2 == 1 else m >= 4
-
-    def applies(field, d, c):
-        if field.p != 2:
-            return False
-        k = _gold_k(field, d)
-        if k is None or not side_condition(field.n, k):
-            return False
-        return not field.in_subfield(c, math.gcd(field.n, k))
-
-    def predict(field, d, c):
-        k = _gold_k(field, d)
-        return Exact(2 ** math.gcd(field.n, k) + 1)
-
-    def grid(max_size):
-        pairs = [(n, k) for n in range(3, 11) for k in range(1, n)
-                 if math.gcd(n, k) == 1]
-        pairs += [(6, 2), (9, 3), (8, 2)]
-        out = []
-        for n, k in pairs:
-            if 2**n > max_size:
-                continue
-            f = build_field(2, n)
-            dd = math.gcd(n, k)
-            label = f"c outside GF(2^{dd})"
-            pred = Exact(2**dd + 1)
-            for c in range(f.q):
-                if not f.in_subfield(c, dd):
-                    out.append(Instance(2, n, 2**k + 1, k, c, label, pred))
-        return out
-
-    return TheoremCase("gold-binary-outside",
-                       "binary x^(2^k+1) has uniformity 2^gcd(n,k)+1 outside the gcd subfield",
-                       applies, predict, grid)
+    return [(d, k) for d, k in _gold(field) if field.p == 2 and m_ok(k)]
 
 
-def _half_gold_prediction(p: int, n: int, k: int) -> Exact:
-    if (2 * n // math.gcd(2 * n, k)) % 2 == 1:
-        return Exact(1)
-    return Exact((p ** math.gcd(k, n) + 1) // 2)
-
-
-def _case_half_gold_pcn() -> TheoremCase:
+def _half_gold(field: Field) -> list[tuple[int, int]]:
     # k = n is excluded: there x^d = x^((q+1)/2), whose Dickson map takes only
     # the values +-2 on the nonsquare-discriminant locus, so the closed form
     # overshoots (GF(9), k=2: formula 5, enumeration 3).
-    def matching_k(field, d):
-        ks = [k for k in _half_gold_ks(field, d) if k != field.n]
-        return ks[0] if ks else None
-
-    def applies(field, d, c):
-        return (field.p > 2 and field.n >= 2 and c == _minus_one(field.p)
-                and matching_k(field, d) is not None)
-
-    def predict(field, d, c):
-        k = matching_k(field, d)
-        return _half_gold_prediction(field.p, field.n, k)
-
-    def grid(max_size):
-        out = []
-        for p in (3, 5, 7):
-            for n in (2, 3, 4):
-                if p**n > max_size:
-                    continue
-                for k in range(1, 2 * n):
-                    if k == n:
-                        continue
-                    out.append(Instance(p, n, (p**k + 1) // 2, k, _minus_one(p),
-                                        "c = -1", _half_gold_prediction(p, n, k)))
-        return out
-
-    return TheoremCase("half-gold-pcn",
-                       "x^((p^k+1)/2) at c = -1: PcN iff 2n/gcd(2n,k) is odd, "
-                       "else uniformity (p^gcd(k,n)+1)/2",
-                       applies, predict, grid)
+    if field.p == 2 or field.n < 2:
+        return []
+    return [((field.p**k + 1) // 2, k) for k in range(1, 2 * field.n) if k != field.n]
 
 
-_UPPER_BOUND_FIELDS = [(p, n) for p in (5, 7, 11, 13) for n in (1, 2, 3, 4)
-                       if p**n <= 2500]
+def _half_gold_prediction(field: Field, k: int) -> Exact:
+    if (2 * field.n // math.gcd(2 * field.n, k)) % 2 == 1:
+        return Exact(1)
+    return Exact((field.p ** math.gcd(k, field.n) + 1) // 2)
 
 
-def _case_half_pn_plus1(refined: bool) -> TheoremCase:
-    cid = "half-pn-plus1-refined" if refined else "half-pn-plus1"
-    bound = 2 if refined else 4
-    label = ("c != +-1, q = 1 mod 4, eta((1-c)/(1+c)) = 1" if refined
-             else "c != +-1")
-
-    def condition(field, c):
-        if c in (1, _minus_one(field.p)):
-            return False
-        if not refined:
-            return True
-        if field.q % 4 != 1:
-            return False
-        ratio = field.mul(field.sub(1, c), field.inv(field.add(1, c)))
-        return field.quadratic_character(ratio) == 1
-
-    def applies(field, d, c):
-        return (field.p > 2 and _same_map(field.q, d, (field.q + 1) // 2)
-                and condition(field, c))
-
-    def predict(field, d, c):
-        return UpperBound(bound)
-
-    def grid(max_size):
-        out = []
-        for f in _fields(_UPPER_BOUND_FIELDS, max_size):
-            d = (f.q + 1) // 2
-            for c in range(f.q):
-                if condition(f, c):
-                    out.append(Instance(f.p, f.n, d, None, c, label, UpperBound(bound)))
-        return out
-
-    return TheoremCase(cid, f"x^((q+1)/2) has uniformity <= {bound} when {label}",
-                       applies, predict, grid)
+def _bt_shapes(field: Field) -> list[tuple[int, int | None]]:
+    """x^((p^2+1)/2) for odd n, then x^(p^2-p+1) for n = 3 (odd p)."""
+    if field.p == 2:
+        return []
+    p = field.p
+    half_square = [((p**2 + 1) // 2, 2)] if field.n % 2 == 1 else []
+    norm_like = [(p**2 - p + 1, None)] if field.n == 3 else []
+    return half_square + norm_like
 
 
-def _case_three_n_plus_3() -> TheoremCase:
-    def applies(field, d, c):
-        return (field.p == 3 and field.n % 2 == 0 and field.n >= 2
-                and _same_map(field.q, d, (field.q + 3) // 2)
-                and c == _minus_one(3))
+def _pn3_minus_one_prediction(field: Field, k) -> Exact:
+    # at n = 2 the map coincides with x^((3^2+3)/2), which is APcN at c = -1;
+    # the generic value 4 starts at n = 3
+    if field.n % 4 == 0:
+        return Exact(6)
+    return Exact(2) if field.n == 2 else Exact(4)
 
-    def predict(field, d, c):
+
+def _pn3_classical_prediction(field: Field, k) -> Exact:
+    if field.n % 2 == 1:
         return Exact(2)
-
-    def grid(max_size):
-        return [Instance(3, n, (3**n + 3) // 2, None, _minus_one(3), "c = -1", Exact(2))
-                for n in (2, 4, 6) if 3**n <= max_size]
-
-    return TheoremCase("three-n-plus-3", "x^((3^n+3)/2) is APcN at c = -1 for even n",
-                       applies, predict, grid)
-
-
-def _case_pn_plus_3() -> TheoremCase:
-    def bound(q):
-        return 3 if q % 4 == 3 else 4
-
-    def applies(field, d, c):
-        return (field.p > 3 and _same_map(field.q, d, (field.q + 3) // 2)
-                and c == _minus_one(field.p))
-
-    def predict(field, d, c):
-        return UpperBound(bound(field.q))
-
-    def grid(max_size):
-        return [Instance(p, n, (p**n + 3) // 2, None, _minus_one(p), "c = -1",
-                         UpperBound(bound(p**n)))
-                for p, n in _UPPER_BOUND_FIELDS if p**n <= max_size]
-
-    return TheoremCase("pn-plus-3",
-                       "x^((q+3)/2) at c = -1 has uniformity <= 3 (q = 3 mod 4) or <= 4 (q = 1 mod 4), p > 3",
-                       applies, predict, grid)
+    return Exact(4 if field.n % 4 == 2 else 5)
 
 
 _PN3_VALUE_SETS = {2: frozenset({2}), 3: frozenset({3, 4}), 4: frozenset({2, 4, 5}),
                    5: frozenset({4}), 6: frozenset({4, 5})}
 
-
-def _pn3_minus_one_prediction(n: int) -> Exact:
-    # at n = 2 the map coincides with x^((3^2+3)/2), which is APcN at c = -1;
-    # the generic value 4 starts at n = 3
-    if n % 4 == 0:
-        return Exact(6)
-    return Exact(2) if n == 2 else Exact(4)
-
-
-def _case_pn_minus_3() -> TheoremCase:
-    def applies(field, d, c):
-        return (field.p == 3 and field.n >= 2
-                and _same_map(field.q, d, field.q - 3) and c != 1)
-
-    def predict(field, d, c):
-        if c == _minus_one(3):
-            return _pn3_minus_one_prediction(field.n)
-        if c == 0:
-            return Exact(2)
-        return UpperBound(5)
-
-    def grid(max_size):
-        out = []
-        for n in range(2, 7):
-            if 3**n > max_size:
-                continue
-            f = build_field(3, n)
-            d = f.q - 3
-            minus_one = _minus_one(3)
-            out.append(Instance(3, n, d, None, minus_one, "c = -1",
-                                _pn3_minus_one_prediction(n)))
-            out.append(Instance(3, n, d, None, 0, "c = 0", Exact(2)))
-            others = _c_sweep_values(f, (0, 1, minus_one))
-            for c in others:
-                out.append(Instance(3, n, d, None, c, "c not in {0,1,-1}", UpperBound(5)))
-            out.append(Instance(3, n, d, None, None, "sweep c not in {0,1,-1}",
-                                ValueSet(_PN3_VALUE_SETS[n]), c_values=others))
-        return out
-
-    return TheoremCase("pn-minus-3",
-                       "x^(3^n-3): at c = -1 uniformity 6 (n = 0 mod 4), 2 (n = 2) or 4; "
-                       "2 at c = 0; <= 5 otherwise, with known value sets for n = 2..6",
-                       applies, predict, grid)
+_ODD_FIELDS = ((3, 2), (3, 3), (3, 4), (3, 5), (3, 6), (5, 1), (5, 2), (5, 3),
+               (7, 1), (7, 2), (11, 1), (13, 1))
+_ALL_FIELDS = tuple((2, n) for n in range(3, 11)) + _ODD_FIELDS
+_BINARY_FIELDS = tuple((2, n) for n in range(3, 9))
+_INVERSE_ODD_FIELDS = ((3, 2), (3, 3), (5, 1), (5, 2), (5, 3), (7, 1), (7, 2), (7, 3))
+_HALF_GOLD_FIELDS = tuple((p, n) for p in (3, 5, 7) for n in (2, 3, 4))
+_UPPER_BOUND_FIELDS = tuple((p, n) for p in (5, 7, 11, 13) for n in (1, 2, 3, 4)
+                            if p**n <= 2500)
+_GOLD_BINARY_GRID = tuple((2, n, k) for n in range(3, 11) for k in range(1, n)
+                          if math.gcd(n, k) == 1) + ((2, 6, 2), (2, 9, 3), (2, 8, 2))
 
 
-def _case_pn_minus_3_classical() -> TheoremCase:
-    def value(n):
-        if n % 2 == 1:
-            return 2
-        return 4 if n % 4 == 2 else 5
+# ---------------------------------------------------------------------------
+# The registry
+# ---------------------------------------------------------------------------
 
-    def applies(field, d, c):
-        if field.p != 3 or c != 1 or not _same_map(field.q, d, field.q - 3):
-            return False
-        n = field.n
-        return (n > 1 and n % 2 == 1) or n > 2
+_ROWS = (
+    Row("square", "x^2 has uniformity 2 at every c != 1 (odd p)",
+        _ODD_FIELDS, lambda f: [(2, None)] if f.p > 2 else [],
+        (_c_not_one(Exact(2)),)),
+    Row("inverse-c0", "x^(q-2) has uniformity 1 at c = 0",
+        _ALL_FIELDS, _inverse,
+        (Branch("c = 0", lambda f, k, c: c == 0, Exact(1)),)),
+    Row("inverse-bin-2",
+        "binary x^(q-2) has uniformity 2 when Tr(c) = Tr(1/c) = 1 (c != 0, 1)",
+        _BINARY_FIELDS, _binary_inverse,
+        (Branch("Tr(c) = Tr(1/c) = 1",
+                lambda f, k, c: c not in (0, 1) and _inverse_bin_condition(f, c),
+                Exact(2)),)),
+    Row("inverse-bin-3",
+        "binary x^(q-2) has uniformity 3 when Tr(c) = 0 or Tr(1/c) = 0 (c != 0, 1)",
+        _BINARY_FIELDS, _binary_inverse,
+        (Branch("Tr(c) = 0 or Tr(1/c) = 0",
+                lambda f, k, c: c not in (0, 1) and not _inverse_bin_condition(f, c),
+                Exact(3)),)),
+    Row("inverse-odd-2",
+        "odd-p x^(q-2) has uniformity 2 when eta(c^2-4c) != 1 and eta(1-4c) != 1 "
+        "(c != 0, 1)",
+        _INVERSE_ODD_FIELDS, _odd_inverse,
+        (Branch("eta(c^2-4c) != 1 and eta(1-4c) != 1",
+                lambda f, k, c: c not in (0, 1) and 1 not in _inverse_odd_etas(f, c),
+                Exact(2)),)),
+    Row("inverse-odd-3",
+        "odd-p x^(q-2) has uniformity 3 when eta(c^2-4c) = 1 or eta(1-4c) = 1 "
+        "(c != 0, 1)",
+        _INVERSE_ODD_FIELDS, _odd_inverse,
+        (Branch("eta(c^2-4c) = 1 or eta(1-4c) = 1",
+                lambda f, k, c: c not in (0, 1) and 1 in _inverse_odd_etas(f, c),
+                Exact(3)),)),
+    Row("gold-subfield",
+        "x^(p^k+1) has uniformity gcd(d, q-1) for subfield c != 1",
+        ((3, 2, 1), (3, 4, 2), (5, 2, 1), (7, 2, 1), (2, 4, 2), (2, 6, 3)), _gold,
+        (Branch(lambda f, k: f"c in GF({f.p}^{math.gcd(k, f.n)}), c != 1",
+                lambda f, k, c: c != 1 and f.in_subfield(c, math.gcd(k, f.n)),
+                lambda f, k: Exact(math.gcd(f.p**k + 1, f.q - 1))),)),
+    Row("gold-binary-outside",
+        "binary x^(2^k+1) has uniformity 2^gcd(n,k)+1 outside the gcd subfield",
+        _GOLD_BINARY_GRID, _binary_gold,
+        (Branch(lambda f, k: f"c outside GF(2^{math.gcd(f.n, k)})",
+                lambda f, k, c: not f.in_subfield(c, math.gcd(f.n, k)),
+                lambda f, k: Exact(2 ** math.gcd(f.n, k) + 1)),)),
+    Row("half-gold-pcn",
+        "x^((p^k+1)/2) at c = -1: PcN iff 2n/gcd(2n,k) is odd, "
+        "else uniformity (p^gcd(k,n)+1)/2",
+        _HALF_GOLD_FIELDS, _half_gold, (_c_minus_one(_half_gold_prediction),)),
+    Row("half-pn-plus1", "x^((q+1)/2) has uniformity <= 4 when c != +-1",
+        _UPPER_BOUND_FIELDS, _half_q_plus_1,
+        (Branch("c != +-1", lambda f, k, c: c not in (1, f.p - 1), UpperBound(4)),)),
+    Row("half-pn-plus1-refined",
+        "x^((q+1)/2) has uniformity <= 2 when c != +-1, q = 1 mod 4, "
+        "eta((1-c)/(1+c)) = 1",
+        _UPPER_BOUND_FIELDS, _half_q_plus_1,
+        (Branch("c != +-1, q = 1 mod 4, eta((1-c)/(1+c)) = 1",
+                lambda f, k, c: c not in (1, f.p - 1) and _half_pn_plus1_refined(f, c),
+                UpperBound(2)),)),
+    Row("three-n-plus-3", "x^((3^n+3)/2) is APcN at c = -1 for even n",
+        ((3, 2), (3, 4), (3, 6)),
+        lambda f: [((f.q + 3) // 2, None)] if f.p == 3 and f.n % 2 == 0 else [],
+        (_c_minus_one(Exact(2)),)),
+    Row("pn-plus-3",
+        "x^((q+3)/2) at c = -1 has uniformity <= 3 (q = 3 mod 4) or <= 4 "
+        "(q = 1 mod 4), p > 3",
+        _UPPER_BOUND_FIELDS, lambda f: [((f.q + 3) // 2, None)] if f.p > 3 else [],
+        (_c_minus_one(lambda f, k: UpperBound(3 if f.q % 4 == 3 else 4)),)),
+    Row("pn-minus-3",
+        "x^(3^n-3): at c = -1 uniformity 6 (n = 0 mod 4), 2 (n = 2) or 4; "
+        "2 at c = 0; <= 5 otherwise, with known value sets for n = 2..6",
+        tuple((3, n) for n in range(2, 7)),
+        lambda f: [(f.q - 3, None)] if f.p == 3 and f.n >= 2 else [],
+        (_c_minus_one(_pn3_minus_one_prediction),
+         Branch("c = 0", lambda f, k, c: c == 0, Exact(2)),
+         Branch("c not in {0,1,-1}", lambda f, k, c: c not in (0, 1, f.p - 1),
+                UpperBound(5))),
+        sweep=lambda f: ValueSet(_PN3_VALUE_SETS[f.n])),
+    Row("pn-minus-3-classical",
+        "x^(3^n-3) at c = 1: uniformity 2 (odd n > 1), 4 (n = 2 mod 4, n > 2), "
+        "5 (n = 0 mod 4)",
+        tuple((3, n) for n in range(3, 7)),
+        lambda f: [(f.q - 3, None)] if f.p == 3 and f.n >= 3 else [],
+        (Branch("c = 1", lambda f, k, c: c == 1, _pn3_classical_prediction),)),
+    Row("half-pn-minus-3", "x^((q-3)/2) at c = -1 has uniformity <= 4",
+        _UPPER_BOUND_FIELDS,
+        lambda f: [((f.q - 3) // 2, None)] if f.p > 2 and f.q >= 5 else [],
+        (_c_minus_one(UpperBound(4)),)),
+    Row("two-thirds", "x^((2q-1)/3) has uniformity <= 3 for c != 1 (q = 2 mod 3)",
+        ((5, 1), (5, 3), (11, 1), (11, 3)),
+        lambda f: [((2 * f.q - 1) // 3, None)] if f.q % 3 == 2 else [],
+        (_c_not_one(UpperBound(3)),)),
+    Row("bt-rows",
+        "x^((p^2+1)/2) (n odd) and x^(p^2-p+1) (n = 3) are PcN at c = -1",
+        # GF(7^3) runs only the n = 3 exponent, whose k is None
+        ((3, 3), (3, 5), (5, 3), (7, 1), (7, 3, None)), _bt_shapes,
+        (_c_minus_one(Exact(1)),)),
+)
 
-    def predict(field, d, c):
-        return Exact(value(field.n))
-
-    def grid(max_size):
-        return [Instance(3, n, 3**n - 3, None, 1, "c = 1", Exact(value(n)))
-                for n in range(3, 7) if 3**n <= max_size]
-
-    return TheoremCase("pn-minus-3-classical",
-                       "x^(3^n-3) at c = 1: uniformity 2 (odd n > 1), 4 (n = 2 mod 4, n > 2), "
-                       "5 (n = 0 mod 4)",
-                       applies, predict, grid)
-
-
-def _case_half_pn_minus_3() -> TheoremCase:
-    def applies(field, d, c):
-        return (field.p > 2 and field.q >= 5
-                and _same_map(field.q, d, (field.q - 3) // 2)
-                and c == _minus_one(field.p))
-
-    def predict(field, d, c):
-        return UpperBound(4)
-
-    def grid(max_size):
-        return [Instance(p, n, (p**n - 3) // 2, None, _minus_one(p), "c = -1",
-                         UpperBound(4))
-                for p, n in _UPPER_BOUND_FIELDS if p**n <= max_size]
-
-    return TheoremCase("half-pn-minus-3", "x^((q-3)/2) at c = -1 has uniformity <= 4",
-                       applies, predict, grid)
-
-
-def _case_two_thirds() -> TheoremCase:
-    def applies(field, d, c):
-        return (field.q % 3 == 2 and c != 1
-                and _same_map(field.q, d, (2 * field.q - 1) // 3))
-
-    def predict(field, d, c):
-        return UpperBound(3)
-
-    def grid(max_size):
-        out = []
-        for p, n in [(5, 1), (5, 3), (11, 1), (11, 3)]:
-            if p**n > max_size:
-                continue
-            f = build_field(p, n)
-            d = (2 * f.q - 1) // 3
-            for c in range(f.q):
-                if c != 1:
-                    out.append(Instance(p, n, d, None, c, "c != 1", UpperBound(3)))
-        return out
-
-    return TheoremCase("two-thirds",
-                       "x^((2q-1)/3) has uniformity <= 3 for c != 1 (q = 2 mod 3)",
-                       applies, predict, grid)
-
-
-def _case_bt_rows() -> TheoremCase:
-    def shape(field, d):
-        if field.n % 2 == 1 and _same_map(field.q, d, (field.p**2 + 1) // 2):
-            return "half-square"
-        if field.n == 3 and _same_map(field.q, d, field.p**2 - field.p + 1):
-            return "norm-like"
-        return None
-
-    def applies(field, d, c):
-        return field.p > 2 and c == _minus_one(field.p) and shape(field, d) is not None
-
-    def predict(field, d, c):
-        return Exact(1)
-
-    def grid(max_size):
-        out = []
-        for p, n in [(3, 3), (3, 5), (5, 3), (7, 1)]:
-            if p**n <= max_size:
-                out.append(Instance(p, n, (p**2 + 1) // 2, 2, _minus_one(p),
-                                    "c = -1", Exact(1)))
-        for p, n in [(3, 3), (5, 3), (7, 3)]:
-            if p**n <= max_size:
-                out.append(Instance(p, n, p**2 - p + 1, None, _minus_one(p),
-                                    "c = -1", Exact(1)))
-        return out
-
-    return TheoremCase("bt-rows",
-                       "x^((p^2+1)/2) (n odd) and x^(p^2-p+1) (n = 3) are PcN at c = -1",
-                       applies, predict, grid)
-
-
-_ODD_FIELDS = ([(3, n) for n in range(2, 7)] + [(5, n) for n in (1, 2, 3)]
-               + [(7, 1), (7, 2), (11, 1), (13, 1)])
-_ALL_FIELDS = [(2, n) for n in range(3, 11)] + _ODD_FIELDS
-
-_REGISTRY: list[TheoremCase] = [
-    _case_square(),
-    _case_inverse_c0(),
-    _case_inverse_bin(True),
-    _case_inverse_bin(False),
-    _case_inverse_odd(True),
-    _case_inverse_odd(False),
-    _case_gold_subfield(),
-    _case_gold_binary_outside(),
-    _case_half_gold_pcn(),
-    _case_half_pn_plus1(False),
-    _case_half_pn_plus1(True),
-    _case_three_n_plus_3(),
-    _case_pn_plus_3(),
-    _case_pn_minus_3(),
-    _case_pn_minus_3_classical(),
-    _case_half_pn_minus_3(),
-    _case_two_thirds(),
-    _case_bt_rows(),
-]
+_REGISTRY: list[TheoremCase] = [_case(row) for row in _ROWS]
 
 
 def registry() -> list[TheoremCase]:
@@ -656,19 +452,14 @@ def verify_case(case: TheoremCase, instances: list[Instance] | None = None,
                 max_size: int = DEFAULT_SIZE_CAP,
                 threads: int | None = None) -> VerificationReport:
     """Check every instance of a case; reports (never raises) on prediction
-    failure."""
+    failure.  `threads` is accepted and ignored."""
     if instances is None:
         instances = case.default_instances(max_size)
     groups: dict[tuple, list[Instance]] = {}
     for inst in instances:
         groups.setdefault((inst.p, inst.n, inst.d), []).append(inst)
-    keys = sorted(groups)
-    if threads is not None and threads > 1 and len(keys) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(lambda k: _evaluate_group(k, groups[k]), keys))
-    else:
-        chunks = [_evaluate_group(k, groups[k]) for k in keys]
-    results = tuple(r for chunk in chunks for r in chunk)
+    results = tuple(r for key in sorted(groups)
+                    for r in _evaluate_group(key, groups[key]))
     bad = tuple(r for r in results if not r.ok)
     ub_observed = [r.observed for r in results
                    if isinstance(r.instance.predicted, UpperBound)]
@@ -679,8 +470,9 @@ def verify_case(case: TheoremCase, instances: list[Instance] | None = None,
 
 def verify_all(case_ids: list[str] | None = None, max_size: int = DEFAULT_SIZE_CAP,
                threads: int | None = None) -> list[VerificationReport]:
+    """Verify the named cases, or the whole registry; `threads` is ignored."""
     cases = ([case_by_id(cid) for cid in case_ids] if case_ids else registry())
-    return [verify_case(case, max_size=max_size, threads=threads) for case in cases]
+    return [verify_case(case, max_size=max_size) for case in cases]
 
 
 # ---------------------------------------------------------------------------
@@ -713,9 +505,9 @@ def _summarize(report: VerificationReport) -> list[dict]:
 def reproduce_table(max_size: int = DEFAULT_SIZE_CAP,
                     threads: int | None = None) -> tuple[str, list[dict]]:
     """Run every registry row over its default grid and render the verdict
-    table (markdown text plus raw rows for CSV)."""
+    table (markdown text plus raw rows for CSV); `threads` is ignored."""
     rows = []
-    for report in verify_all(max_size=max_size, threads=threads):
+    for report in verify_all(max_size=max_size):
         rows.extend(_summarize(report))
     header = ["case", "p", "n", "d", "condition", "predicted", "observed", "verdict"]
     lines = ["| " + " | ".join(header) + " |",

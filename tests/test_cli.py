@@ -1,5 +1,6 @@
 import json
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -28,6 +29,9 @@ def test_parse_element():
     assert parse_element(f, "g") == f.generator
     assert parse_element(f, "g^3") == f.g_pow(3)
     assert parse_element(f, "5") == 2        # 5 mod 3
+    for bad in ("g^x", "x", "g^", "1.5"):
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            parse_element(f, bad)
 
 
 def test_integer_elements_are_reduced_mod_p(capsys):
@@ -143,6 +147,9 @@ def test_usage_errors_exit_2(capsys):
     code, _, err = run_cli(capsys, "uniformity", "-p", "9", "-n", "1",
                            "-d", "2", "-c", "0")
     assert code == 2 and "prime" in err
+    code, out, err = run_cli(capsys, "uniformity", "-p", "2", "-n", "3",
+                             "-d", "3", "-c", "g^x")
+    assert code == 2 and out == "" and "'g^x'" in err
 
 
 def test_uniformity_rejects_exponent_zero(capsys):
@@ -177,6 +184,13 @@ def test_gold_dist_command(capsys):
     rec = records(out)[0]
     assert rec["counts"] == [[0, 11], [1, 15], [3, 5]]
     assert rec["counts"] == rec["predicted"]
+
+
+def test_gold_dist_rejects_k_below_one(capsys):
+    for k in ("-1", "0"):
+        code, out, err = run_cli(capsys, "gold-dist", "-n", "3", "-k", k)
+        assert code == 2 and out == ""
+        assert f"k = {k}" in err
 
 
 def test_partition_command(capsys):

@@ -169,6 +169,16 @@ def test_sweep_is_ordered_and_thread_invariant():
     assert seq == par
 
 
+def test_sweep_of_lookup_table_takes_the_general_route():
+    f = build_field(2, 4)
+    cs = [0, 1, 7]
+    reports = sweep(f, as_lookup(f, PowerMap(3)), cs)
+    assert reports == [general_uniformity(f, PowerMap(3), c) for c in cs]
+    assert {r.mode for r in reports} == {"full"}
+    assert [r.uniformity for r in reports] == \
+        [r.uniformity for r in sweep(f, PowerMap(3), cs)]
+
+
 def test_sweep_value_sets_for_gf27_and_gf81():
     f27 = build_field(3, 3)
     cs = [c for c in range(27) if c not in (0, 1, f27.neg(1))]

@@ -208,3 +208,15 @@ def test_applicable_cases_are_pinned():
     assert len(lines) == 3973
     assert _sha256(lines) == \
         "32b1f3da0fdef4d4d00a24c412a979d5006fc244e4f2902dd5f09c1e8efa28ae"
+
+
+def test_default_grids_agree_with_the_predicate():
+    for case in registry():
+        groups = {}
+        for inst in case.default_instances(DEFAULT_SIZE_CAP):
+            if inst.c is not None:
+                groups.setdefault((inst.p, inst.n, inst.d), {})[inst.c] = inst.predicted
+        for (p, n, d), predicted in groups.items():
+            f = build_field(p, n)
+            assert set(predicted) == {c for c in range(f.q) if case.applies(f, d, c)}
+            assert all(case.predict(f, d, c) == pred for c, pred in predicted.items())
