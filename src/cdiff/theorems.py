@@ -248,7 +248,7 @@ def _binary_gold(field: Field) -> list[tuple[int, int]]:
     def m_ok(k):
         m = field.n // math.gcd(field.n, k)
         return m >= 3 if m % 2 == 1 else m >= 4
-    return [(d, k) for d, k in _gold(field) if field.p == 2 and m_ok(k)]
+    return [(d, k) for d, k in _gold(field) if m_ok(k)] if field.p == 2 else []
 
 
 def _half_gold(field: Field) -> list[tuple[int, int]]:
