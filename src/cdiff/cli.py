@@ -42,33 +42,37 @@ def parse_element(field: Field, text: str) -> int:
     return field.g_pow(value) if power else field.from_int(value)
 
 
-def _spectrum_csv(report: CDDTReport) -> str:
-    return ";".join(f"{v}:{m}" for v, m in report.spectrum)
-
-
-def _report_record(field: Field, d: int, report: CDDTReport) -> dict:
-    return {"schema": SCHEMA, "record": "uniformity", "p": field.p, "n": field.n,
-            "d": d, "c": report.c, "uniformity": report.uniformity,
-            "classification": report.classification,
-            "spectrum": [list(pair) for pair in report.spectrum],
-            "mode": report.mode}
-
-
-def _report_csv_row(field: Field, d: int, report: CDDTReport) -> str:
-    return ",".join([str(field.p), str(field.n), str(d), str(report.c),
-                     str(report.uniformity), report.classification,
-                     _spectrum_csv(report)])
-
-
 _CSV_HEADER = "p,n,d,c,uniformity,classification,spectrum"
 
 
+def _emit_reports(field: Field, d: int, reports: list[CDDTReport], csv: bool) -> None:
+    """Uniformity reports as JSON-lines records, or as a CSV header and rows."""
+    if csv:
+        print(_CSV_HEADER)
+    for report in reports:
+        if csv:
+            print(",".join([str(field.p), str(field.n), str(d), str(report.c),
+                            str(report.uniformity), report.classification,
+                            ";".join(f"{v}:{m}" for v, m in report.spectrum)]))
+        else:
+            _print_record({"schema": SCHEMA, "record": "uniformity",
+                           "p": field.p, "n": field.n, "d": d, "c": report.c,
+                           "uniformity": report.uniformity,
+                           "classification": report.classification,
+                           "spectrum": [list(pair) for pair in report.spectrum],
+                           "mode": report.mode})
+
+
 def _cmd_field(args) -> int:
-    modulus = [int(t) for t in args.modulus.split(",")] if args.modulus else None
-    f = build_field(args.p, args.n, modulus=tuple(modulus) if modulus else None)
-    _print_record({"schema": SCHEMA, "record": "field", "p": f.p, "n": f.n,
-                   "modulus": list(f.modulus),
-                   "generator": list(f.coeffs(f.generator))})
+    modulus = None
+    if args.modulus:
+        try:
+            modulus = tuple(int(t) for t in args.modulus.split(","))
+        except ValueError:
+            raise ValueError(f"modulus {args.modulus!r} is not a comma-separated "
+                             f"list of ints") from None
+    f = build_field(args.p, args.n, modulus=modulus)
+    _print_record({"schema": SCHEMA, "record": "field", **json.loads(f.to_json())})
     return 0
 
 
@@ -83,38 +87,21 @@ def _cmd_eval(args) -> int:
 def _cmd_uniformity(args) -> int:
     f = build_field(args.p, args.n)
     c = parse_element(f, args.c)
-    report = power_uniformity(f, args.d, c)
-    if args.csv:
-        print(_CSV_HEADER)
-        print(_report_csv_row(f, args.d, report))
-    else:
-        _print_record(_report_record(f, args.d, report))
+    _emit_reports(f, args.d, [power_uniformity(f, args.d, c)], args.csv)
     return 0
 
 
 def _cmd_spectrum(args) -> int:
     f = build_field(args.p, args.n)
     c = parse_element(f, args.c)
-    report = general_uniformity(f, PowerMap(args.d), c)
-    if args.csv:
-        print(_CSV_HEADER)
-        print(_report_csv_row(f, args.d, report))
-    else:
-        _print_record(_report_record(f, args.d, report))
+    _emit_reports(f, args.d, [general_uniformity(f, PowerMap(args.d), c)], args.csv)
     return 0
 
 
 def _cmd_sweep(args) -> int:
     f = build_field(args.p, args.n)
     cs = c_set(f, args.c_set)
-    reports = sweep(f, PowerMap(args.d), cs)
-    if args.csv:
-        print(_CSV_HEADER)
-        for report in reports:
-            print(_report_csv_row(f, args.d, report))
-    else:
-        for report in reports:
-            _print_record(_report_record(f, args.d, report))
+    _emit_reports(f, args.d, sweep(f, PowerMap(args.d), cs), args.csv)
     return 0
 
 

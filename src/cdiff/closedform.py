@@ -58,71 +58,40 @@ def gcd_power_plus_one(p: int, k: int, n: int) -> GcdCase:
 # Dickson polynomials (second parameter fixed to 1)
 # ---------------------------------------------------------------------------
 
-def dickson_values(field: Field, m: int) -> np.ndarray:
-    """D_m evaluated at every field element, where D_0 = 2, D_1 = x and
-    D_{i+1} = x D_i - D_{i-1}.
+def _dickson_ladder(field: Field, m: int, x):
+    """D_m(x), where D_0 = 2, D_1 = x and D_{i+1} = x D_i - D_{i-1}.
 
-    Uses the transfer matrix [[x, -1], [1, 0]] raised to the (m-1)-th power,
-    vectorized over all x, so the cost is O(log m) passes.
+    Walks the bits of m from the top, keeping the pair (D_k, D_{k+1}) and
+    doubling k with D_{2k} = D_k^2 - 2 and D_{2k+1} = D_k D_{k+1} - x, so the
+    cost is O(log m) vector passes.  `x` is one element or an int64 array of
+    elements; the constants broadcast against it.
     """
     if m < 0:
         raise ValueError("Dickson degree must be >= 0")
-    q = field.q
-    two = np.full(q, field.from_int(2), dtype=np.int64)
-    if m == 0:
-        return two
-    x = field.elements().astype(np.int64)
-    if m == 1:
-        return x.copy()
-    minus_one = np.full(q, field.neg(1), dtype=np.int64)
-    zero = np.zeros(q, dtype=np.int64)
-    one = np.ones(q, dtype=np.int64)
+    two = field.from_int(2)
+    lo, hi = np.full(np.shape(x), two, dtype=np.int64), x
+    for bit in bin(m)[2:]:
+        odd = field.sub_v(field.mul_v(lo, hi), x)
+        if bit == "1":
+            lo, hi = odd, field.sub_v(field.mul_v(hi, hi), two)
+        else:
+            lo, hi = field.sub_v(field.mul_v(lo, lo), two), odd
+    return lo
 
-    def mat_mul(A, B):
-        a, b, c, d = A
-        e, f, g, h = B
-        return (field.add_v(field.mul_v(a, e), field.mul_v(b, g)),
-                field.add_v(field.mul_v(a, f), field.mul_v(b, h)),
-                field.add_v(field.mul_v(c, e), field.mul_v(d, g)),
-                field.add_v(field.mul_v(c, f), field.mul_v(d, h)))
 
-    result = (one, zero, zero, one)
-    base = (x, minus_one, one, zero)
-    e = m - 1
-    while e:
-        if e & 1:
-            result = mat_mul(result, base)
-        base = mat_mul(base, base)
-        e >>= 1
-    a, b, _, _ = result
-    return field.add_v(field.mul_v(a, x), field.mul_v(b, two))
+def dickson_values(field: Field, m: int) -> np.ndarray:
+    """D_m evaluated at every field element, in canonical order."""
+    return _dickson_ladder(field, m, field.elements())
 
 
 def dickson_eval(field: Field, m: int, x: int) -> int:
-    """D_m(x) for a single element, by the same transfer-matrix power."""
-    if m < 0:
-        raise ValueError("Dickson degree must be >= 0")
-    two = field.from_int(2)
-    if m == 0:
-        return two
-    if m == 1:
-        return int(x)
+    """D_m(x) for a single element."""
+    return int(_dickson_ladder(field, m, int(x)))
 
-    def mat_mul(A, B):
-        return (field.add(field.mul(A[0], B[0]), field.mul(A[1], B[2])),
-                field.add(field.mul(A[0], B[1]), field.mul(A[1], B[3])),
-                field.add(field.mul(A[2], B[0]), field.mul(A[3], B[2])),
-                field.add(field.mul(A[2], B[1]), field.mul(A[3], B[3])))
 
-    result = (1, 0, 0, 1)
-    base = (int(x), field.neg(1), 1, 0)
-    e = m - 1
-    while e:
-        if e & 1:
-            result = mat_mul(result, base)
-        base = mat_mul(base, base)
-        e >>= 1
-    return field.add(field.mul(result[0], int(x)), field.mul(result[1], two))
+def _two_adic_valuation(t: int) -> int:
+    """The largest r with 2^r dividing t (t != 0): the index of its lowest set bit."""
+    return (t & -t).bit_length() - 1
 
 
 @dataclass(frozen=True)
@@ -137,12 +106,8 @@ class DicksonParams:
 
 def dickson_params(field: Field, d: int) -> DicksonParams:
     q = field.q
-    r = 0
-    t = q * q - 1
-    while t % 2 == 0:
-        t //= 2
-        r += 1
-    return DicksonParams(d=d, m_gcd=math.gcd(d, q - 1), lbar=math.gcd(d, q + 1), r=r)
+    return DicksonParams(d=d, m_gcd=math.gcd(d, q - 1), lbar=math.gcd(d, q + 1),
+                         r=_two_adic_valuation(q * q - 1))
 
 
 @dataclass(frozen=True)
@@ -154,8 +119,7 @@ class DicksonPreimage:
     branch: str
 
 
-def dickson_preimage_count(field: Field, d: int, x0: int,
-                           _values: np.ndarray | None = None) -> DicksonPreimage:
+def dickson_preimage_count(field: Field, d: int, x0: int) -> DicksonPreimage:
     """Enumerated preimage count of D_d(x0) together with the closed-form
     branch prediction (odd characteristic).
 
@@ -164,17 +128,16 @@ def dickson_preimage_count(field: Field, d: int, x0: int,
     """
     if field.p == 2:
         raise ValueError("preimage branch formula requires odd characteristic")
-    values = dickson_values(field, d) if _values is None else _values
+    if d < 1:
+        raise ValueError(f"preimage branch formula requires Dickson degree "
+                         f"m >= 1, got m = {d}")
+    values = dickson_values(field, d)
     dv = int(values[x0])
     count = int(np.count_nonzero(values == dv))
 
     params = dickson_params(field, d)
     m_gcd, lbar, r = params.m_gcd, params.lbar, params.r
-    t = 0
-    dd = d
-    while dd % 2 == 0:
-        dd //= 2
-        t += 1
+    t = _two_adic_valuation(d)
     two = field.from_int(2)
     minus_two = field.neg(two)
     disc = field.sub(field.mul(x0, x0), field.from_int(4))
@@ -200,6 +163,15 @@ def dickson_max_preimage(field: Field, d: int) -> int:
     return int(np.bincount(values, minlength=field.q).max())
 
 
+def _horner(field: Field, coeffs, x):
+    """sum_i coeffs[i] x^i in `field`; coefficients are prime-subfield values
+    (low degree first), and each coefficient or x may be an int64 array."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = field.add_v(field.mul_v(acc, x), field.from_int(c))
+    return acc
+
+
 def subfield_embedding(base: Field, ext: Field) -> np.ndarray:
     """Embedding of base = GF(p^n) into ext = GF(p^N), n | N, as an array over
     base encodings.  Found by exhaustive root search of the base modulus in
@@ -207,21 +179,12 @@ def subfield_embedding(base: Field, ext: Field) -> np.ndarray:
     deterministic."""
     if ext.p != base.p or ext.n % base.n != 0:
         raise ValueError("extension field is not compatible")
-    x = ext.elements()
-    acc = np.zeros(ext.q, dtype=np.int64)
-    for c in reversed(base.modulus):
-        acc = ext.add_v(ext.mul_v(acc, x), ext.from_int(c))
-    roots = np.nonzero(acc == 0)[0]
+    roots = np.nonzero(_horner(ext, base.modulus, ext.elements()) == 0)[0]
     if roots.size == 0:
         raise ValueError("base modulus has no root in the extension")
-    root = int(roots[0])
-    out = np.zeros(base.q, dtype=np.int64)
-    for e in range(base.q):
-        val = 0
-        for c in reversed(base.coeffs(e)):
-            val = ext.add(ext.mul(val, root), ext.from_int(c))
-        out[e] = val
-    return out
+    e = base.elements()
+    digits = [e // base.p**i % base.p for i in range(base.n)]
+    return _horner(ext, digits, int(roots[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -246,9 +209,21 @@ class GoldDistribution:
         return dict(self.predicted)
 
 
+def _gold_top_count(m: int, d: int) -> int:
+    """Number of nonzero beta with 2^d + 1 solutions when d = gcd(n, k) and
+    m = n/d, which is also the number of distinct zeros of C_m."""
+    if m % 2 == 1:
+        return (2**((m - 1) * d) - 1) // (2**(2 * d) - 1)
+    return (2**((m - 1) * d) - 2**d) // (2**(2 * d) - 1)
+
+
 def gold_solution_distribution(n: int, k: int) -> GoldDistribution:
     if k < 1:
         raise ValueError(f"Gold exponent k must be >= 1, got k = {k}")
+    d = math.gcd(n, k)
+    if d == n:
+        raise ValueError(f"Gold exponent k = {k} is a multiple of n = {n}, so "
+                         f"z^(2^k+1) is z^2 over GF(2^{n}), not a Gold map")
     field = build_field(2, n)
     x = field.elements()
     w = np.bitwise_xor(field.pow_all(2**k + 1), x)     # beta = z^(2^k+1) + z
@@ -256,7 +231,6 @@ def gold_solution_distribution(n: int, k: int) -> GoldDistribution:
     hist = np.bincount(per_beta[1:], minlength=1)
     counts = tuple((int(m), int(c)) for m, c in enumerate(hist) if c)
 
-    d = math.gcd(n, k)
     m = n // d
     if d == 1:
         if n % 2 == 1:
@@ -266,11 +240,7 @@ def gold_solution_distribution(n: int, k: int) -> GoldDistribution:
             predicted = ((0, (2**n - 1) // 3), (1, 2**(n - 1)),
                          (3, (2**(n - 1) - 2) // 3))
     else:
-        if m % 2 == 1:
-            top = (2**((m - 1) * d) - 1) // (2**(2 * d) - 1)
-        else:
-            top = (2**((m - 1) * d) - 2**d) // (2**(2 * d) - 1)
-        predicted = ((2**d + 1, top),)
+        predicted = ((2**d + 1, _gold_top_count(m, d)),)
     return GoldDistribution(n=n, k=k, counts=counts,
                             zero_beta_solutions=int(per_beta[0]),
                             predicted=predicted)
@@ -298,11 +268,7 @@ def cm_zero_count(n: int, k: int, m: int) -> CmZeros:
         c_prev, c_cur = c_cur, np.bitwise_xor(
             c_cur, field.mul_v(field.pow_all(2**(i * k)), c_prev))
     count = int(np.count_nonzero(c_cur == 0))
-    if m % 2 == 1:
-        predicted = (2**((m - 1) * d) - 1) // (2**(2 * d) - 1)
-    else:
-        predicted = (2**((m - 1) * d) - 2**d) // (2**(2 * d) - 1)
-    return CmZeros(n=n, k=k, m=m, count=count, predicted=predicted)
+    return CmZeros(n=n, k=k, m=m, count=count, predicted=_gold_top_count(m, d))
 
 
 # ---------------------------------------------------------------------------

@@ -41,9 +41,6 @@ class CDDTReport:
     classification: str
     mode: str
 
-    def spectrum_dict(self) -> dict[int, int]:
-        return dict(self.spectrum)
-
 
 def _spectrum_tuple(hist: np.ndarray) -> tuple[tuple[int, int], ...]:
     return tuple((int(v), int(m)) for v, m in enumerate(hist) if m)

@@ -19,18 +19,7 @@ DEFAULT_SIZE_CAP = 2**22
 
 def is_prime(m: int) -> bool:
     """Trial-division primality check, adequate for desk-scale moduli."""
-    if m < 2:
-        return False
-    if m < 4:
-        return True
-    if m % 2 == 0:
-        return False
-    f = 3
-    while f * f <= m:
-        if m % f == 0:
-            return False
-        f += 2
-    return True
+    return m > 1 and prime_factors(m) == [m]
 
 
 def prime_factors(m: int) -> list[int]:
@@ -140,10 +129,8 @@ def is_irreducible(coeffs: list[int], p: int) -> bool:
 
 def _find_modulus(p: int, n: int) -> list[int]:
     """Monic irreducible of degree n whose coefficient vector, read as a
-    base-p integer with c0 least significant, is minimal.  For n=1 the
-    modulus is x itself and arithmetic is plain mod-p."""
-    if n == 1:
-        return [0, 1]
+    base-p integer with c0 least significant, is minimal.  For n=1 that is
+    x itself, and arithmetic is plain mod-p."""
     for e in range(p**n):
         coeffs = _digits(e, p, n) + [1]
         if is_irreducible(coeffs, p):
@@ -195,14 +182,15 @@ class Field:
               generator: list[int] | None = None,
               size_cap: int = DEFAULT_SIZE_CAP) -> "Field":
         """Build GF(p^n) with the deterministic modulus and generator, or with
-        a validated override."""
-        if not is_prime(p):
-            raise ValueError(f"p = {p} is not prime")
+        a validated override.  The cheap checks on n and the size cap come
+        before the trial-division primality test on p."""
         if n < 1:
             raise ValueError(f"extension degree must be >= 1, got {n}")
         q = p**n
         if q > size_cap:
             raise ValueError(f"field size {p}^{n} = {q} exceeds cap {size_cap}")
+        if not is_prime(p):
+            raise ValueError(f"p = {p} is not prime")
 
         if modulus is None:
             modulus = _find_modulus(p, n)
@@ -344,9 +332,6 @@ class Field:
     def add_v(self, x, y):
         return _digit_add(x, y, self.p, self.n)
 
-    def neg_v(self, x):
-        return self.neg_table[x]
-
     def sub_v(self, x, y):
         return self.add_v(x, self.neg_table[y])
 
@@ -396,9 +381,9 @@ _FIELD_CACHE: dict[tuple, Field] = {}
 
 def build_field(p: int, n: int, modulus: tuple[int, ...] | None = None,
                 size_cap: int = DEFAULT_SIZE_CAP) -> Field:
-    """Cached deterministic field constructor (fields are immutable)."""
-    if not is_prime(p):
-        raise ValueError(f"p = {p} is not prime")
+    """Cached deterministic field constructor (fields are immutable).  The cap
+    is checked before the cache, which is keyed without it; `Field.build`
+    validates the rest on a miss."""
     if n >= 1 and p**n > size_cap:
         raise ValueError(f"field size {p}^{n} = {p**n} exceeds cap {size_cap}")
     key = (p, n, tuple(modulus) if modulus is not None else None)

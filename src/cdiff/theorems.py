@@ -20,7 +20,8 @@ from dataclasses import dataclass
 from typing import Callable, Union
 
 from cdiff.field import Field, build_field, DEFAULT_SIZE_CAP
-from cdiff.ddt import power_uniformity, _power_tables
+from cdiff.ddt import sweep
+from cdiff.funcs import PowerMap
 
 
 # ---------------------------------------------------------------------------
@@ -432,17 +433,18 @@ def applicable_cases(field: Field, d: int, c: int) -> list[TheoremCase]:
 # ---------------------------------------------------------------------------
 
 def _evaluate_group(key, instances):
+    """One `sweep` over every c the group's instances ask for, repeats kept."""
     p, n, d = key
-    f = build_field(p, n)
-    tables = _power_tables(f, d)
+    cs = [c for inst in instances
+          for c in ((inst.c,) if inst.c is not None else inst.c_values)]
+    observed_at = {r.c: r.uniformity
+                   for r in sweep(build_field(p, n), PowerMap(d), cs)}
     out = []
     for inst in instances:
         if inst.c is not None:
-            observed = power_uniformity(f, d, inst.c, _tables=tables).uniformity
+            observed = observed_at[inst.c]
         else:
-            observed = tuple(sorted({
-                power_uniformity(f, d, c, _tables=tables).uniformity
-                for c in inst.c_values}))
+            observed = tuple(sorted({observed_at[c] for c in inst.c_values}))
         out.append(InstanceResult(instance=inst, observed=observed,
                                   ok=inst.predicted.check(observed)))
     return out

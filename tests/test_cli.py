@@ -58,6 +58,10 @@ def test_field_modulus_override(capsys):
     code, _, err = run_cli(capsys, "field", "-p", "3", "-n", "2",
                            "--modulus", "0,0,1")
     assert code == 2 and "reducible" in err
+    code, out, err = run_cli(capsys, "field", "-p", "3", "-n", "2",
+                             "--modulus", "1,x")
+    assert code == 2 and out == ""
+    assert "'1,x'" in err and "invalid literal" not in err
 
 
 def test_uniformity_known_value(capsys):
@@ -178,6 +182,13 @@ def test_dickson_commands(capsys):
     assert rec["count"] == rec["predicted"]
 
 
+def test_dickson_preimage_rejects_degree_zero(capsys):
+    code, out, err = run_cli(capsys, "dickson", "-p", "3", "-n", "2", "-m", "0",
+                             "--preimage", "1")
+    assert code == 2 and out == ""
+    assert "m = 0" in err
+
+
 def test_gold_dist_command(capsys):
     code, out, _ = run_cli(capsys, "gold-dist", "-n", "5", "-k", "1")
     assert code == 0
@@ -187,7 +198,7 @@ def test_gold_dist_command(capsys):
 
 
 def test_gold_dist_rejects_k_below_one(capsys):
-    for k in ("-1", "0"):
+    for k in ("-1", "0", "3", "6"):
         code, out, err = run_cli(capsys, "gold-dist", "-n", "3", "-k", k)
         assert code == 2 and out == ""
         assert f"k = {k}" in err

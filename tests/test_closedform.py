@@ -56,13 +56,17 @@ def test_dickson_first_degrees():
 
 
 def test_dickson_values_match_plain_recurrence():
-    for p, n in [(3, 2), (7, 1), (2, 4)]:
+    for p, n, top in [(3, 2, 30), (7, 1, 30), (2, 4, 30), (2, 8, 200), (13, 2, 200)]:
         f = build_field(p, n)
         prev = np.full(f.q, f.from_int(2), dtype=np.int64)
         cur = f.elements()
-        for m in range(1, 30):
+        assert np.array_equal(dickson_values(f, 0), prev), (p, n)
+        for m in range(1, top + 1):
             vals = dickson_values(f, m)
             assert np.array_equal(vals, cur), (p, n, m)
+            if m % 37 == 0:
+                assert [dickson_eval(f, m, x) for x in range(0, f.q, 7)] \
+                    == [int(v) for v in cur[::7]], (p, n, m)
             prev, cur = cur, f.sub_v(f.mul_v(f.elements(), cur), prev)
 
 
@@ -156,10 +160,9 @@ def test_dickson_preimage_branches_agree_with_enumeration():
     for p, n, d in [(3, 2, 6), (3, 2, 5), (5, 2, 13), (7, 1, 4), (3, 3, 14),
                     (5, 1, 3), (7, 2, 25)]:
         f = build_field(p, n)
-        vals = dickson_values(f, d)
         seen_branches = set()
         for x0 in range(f.q):
-            r = dickson_preimage_count(f, d, x0, _values=vals)
+            r = dickson_preimage_count(f, d, x0)
             assert r.count == r.predicted, (p, n, d, x0, r)
             seen_branches.add(r.branch)
         assert seen_branches    # at least one branch exercised

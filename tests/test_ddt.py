@@ -79,7 +79,8 @@ def test_known_row_max_gf81():
 @pytest.mark.parametrize("p,n", [(2, 3), (3, 2), (5, 1), (7, 1), (2, 4), (3, 3),
                                  (2, 5), (5, 2), (2, 6), (3, 4)])
 def test_power_equals_general_exhaustively(p, n):
-    # every exponent, every c, up to q = 81
+    # every exponent, every c, up to q = 81; the spectra agree as a whole:
+    # full = (q-1)(reduced - a0) + a0, with a0 the analytic a = 0 row
     f = build_field(p, n)
     for d in range(1, f.q):
         lookup = as_lookup(f, PowerMap(d))
@@ -88,6 +89,24 @@ def test_power_equals_general_exhaustively(p, n):
             slow = general_uniformity(f, lookup, c)
             assert fast.uniformity == slow.uniformity, (p, n, d, c)
             assert fast.classification == slow.classification
+            a0 = _a0_row_spectrum(f.q, d, c)
+            reduced = dict(fast.spectrum)
+            full = {v: (f.q - 1) * (reduced.get(v, 0) - a0.get(v, 0)) + a0.get(v, 0)
+                    for v in set(reduced) | set(a0)}
+            assert {v: m for v, m in full.items() if m} == dict(slow.spectrum), \
+                (p, n, d, c)
+
+
+def _a0_row_spectrum(q, d, c):
+    """Spectrum of the a = 0 row, (1-c) x^d = b: one solution at b = 0 and
+    g = gcd(d, q-1) at each of the (q-1)/g nonzero d-th powers; the row is
+    left out when c = 1."""
+    if c == 1:
+        return {}
+    g = math.gcd(d, q - 1)
+    a0 = {0: (q - 1) - (q - 1) // g, 1: 1}
+    a0[g] = a0.get(g, 0) + (q - 1) // g
+    return a0
 
 
 @pytest.mark.parametrize("p,n,pairs", [(3, 5, 40), (2, 7, 40)])

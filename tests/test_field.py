@@ -58,10 +58,19 @@ def test_build_rejects_bad_parameters():
         Field.build(3, 2, modulus=[0, 0, 1])   # x^2 is reducible
     with pytest.raises(ValueError):
         Field.build(3, 2, modulus=[1, 0, 0, 1])  # wrong degree
+    # the size cap is checked before trial division, which would not finish
+    huge = 1000000000000000000000000000057
+    for build in (build_field, Field.build):
+        with pytest.raises(ValueError, match="exceeds cap"):
+            build(huge, 1)
+        with pytest.raises(ValueError, match="extension degree"):
+            build(huge, 0)
 
 
 def test_is_prime_and_irreducible_helpers():
     assert [m for m in range(20) if is_prime(m)] == [2, 3, 5, 7, 11, 13, 17, 19]
+    assert [m for m in range(-5, 1000) if is_prime(m)] == \
+        [m for m in range(2, 1000) if all(m % f for f in range(2, m))]
     assert is_irreducible([1, 1, 1], 2)
     assert not is_irreducible([1, 0, 1], 2)          # (x+1)^2
     assert not is_irreducible([0, 1, 1], 2)          # x(x+1)
