@@ -42,8 +42,14 @@ class CDDTReport:
     mode: str
 
 
-def _spectrum_tuple(hist: np.ndarray) -> tuple[tuple[int, int], ...]:
-    return tuple((int(v), int(m)) for v, m in enumerate(hist) if m)
+def _report(c: int, hist: np.ndarray, mode: str) -> CDDTReport:
+    """Report from `hist[v]` = how many counted entries equal v; the
+    uniformity is the largest v that occurs."""
+    values = np.flatnonzero(hist)
+    u = int(values[-1])
+    return CDDTReport(c=c, uniformity=u,
+                      spectrum=tuple(zip(values.tolist(), hist[values].tolist())),
+                      classification=classification_of(u), mode=mode)
 
 
 def ddt_row(field: Field, func: FunctionSpec, c: int, a: int) -> np.ndarray:
@@ -74,9 +80,7 @@ def general_uniformity(field: Field, func: FunctionSpec, c: int) -> CDDTReport:
         counts = np.bincount((deltas + offsets).ravel(),
                              minlength=len(a_col) * field.q)
         hist += np.bincount(counts, minlength=field.q + 1)
-    u = int(np.max(np.nonzero(hist)[0]))
-    return CDDTReport(c=c, uniformity=u, spectrum=_spectrum_tuple(hist),
-                      classification=classification_of(u), mode="full")
+    return _report(c, hist, "full")
 
 
 def _power_tables(field: Field, d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -94,18 +98,14 @@ def power_uniformity(field: Field, d: int, c: int,
     row = np.bincount(field.sub_v(shifted, field.mul_v(c, values)),
                       minlength=field.q)
     hist = np.bincount(row, minlength=field.q + 1)
-    g = math.gcd(d, field.q - 1)
-    if c == 1:
-        u = int(row.max())
-    else:
-        u = max(int(row.max()), g)
+    if c != 1:
         # a = 0 row: (1-c) x^d = b has one solution at b = 0 and g solutions
         # at the (q-1)/g scaled d-th powers.
+        g = math.gcd(d, field.q - 1)
         hist[1] += 1
         hist[g] += (field.q - 1) // g
         hist[0] += (field.q - 1) - (field.q - 1) // g
-    return CDDTReport(c=c, uniformity=u, spectrum=_spectrum_tuple(hist),
-                      classification=classification_of(u), mode="power-reduced")
+    return _report(c, hist, "power-reduced")
 
 
 def uniformity(field: Field, func: FunctionSpec, c: int) -> CDDTReport:
@@ -115,10 +115,8 @@ def uniformity(field: Field, func: FunctionSpec, c: int) -> CDDTReport:
     return general_uniformity(field, func, c)
 
 
-def sweep(field: Field, func: FunctionSpec, c_values,
-          threads: int | None = None) -> list[CDDTReport]:
-    """Independent reports for every c, in canonical element order.  `threads`
-    is accepted and ignored: the c values run one after another."""
+def sweep(field: Field, func: FunctionSpec, c_values) -> list[CDDTReport]:
+    """Independent reports for every c, in canonical element order."""
     cs = sorted(int(c) for c in c_values)
     if not cs:
         raise ValueError("empty c-set")

@@ -162,8 +162,7 @@ def _digit_add(x, y, p: int, n: int):
 class Field:
     """A concrete GF(p^n): modulus, generator, and exp/log tables.
 
-    Immutable after construction; all operations are pure, so instances are
-    safe to share across threads.
+    Immutable after construction; all operations are pure.
     """
 
     p: int
@@ -179,18 +178,18 @@ class Field:
 
     @staticmethod
     def build(p: int, n: int, modulus: list[int] | None = None,
-              generator: list[int] | None = None,
-              size_cap: int = DEFAULT_SIZE_CAP) -> "Field":
+              generator: list[int] | None = None) -> "Field":
         """Build GF(p^n) with the deterministic modulus and generator, or with
         a validated override.  The cheap checks on n and the size cap come
-        before the trial-division primality test on p."""
+        before the trial-division primality test on p; n is bounded before
+        p^n is computed, since any n past the cap's bit length is over it."""
         if n < 1:
             raise ValueError(f"extension degree must be >= 1, got {n}")
-        q = p**n
-        if q > size_cap:
-            raise ValueError(f"field size {p}^{n} = {q} exceeds cap {size_cap}")
+        if p > 1 and (n >= DEFAULT_SIZE_CAP.bit_length() or p**n > DEFAULT_SIZE_CAP):
+            raise ValueError(f"field size {p}^{n} exceeds cap {DEFAULT_SIZE_CAP}")
         if not is_prime(p):
             raise ValueError(f"p = {p} is not prime")
+        q = p**n
 
         if modulus is None:
             modulus = _find_modulus(p, n)
@@ -368,28 +367,22 @@ class Field:
                           separators=(",", ":"))
 
     @staticmethod
-    def from_json(text: str, size_cap: int = DEFAULT_SIZE_CAP) -> "Field":
+    def from_json(text: str) -> "Field":
         obj = json.loads(text)
         return Field.build(int(obj["p"]), int(obj["n"]),
                            modulus=obj.get("modulus"),
-                           generator=obj.get("generator"),
-                           size_cap=size_cap)
+                           generator=obj.get("generator"))
 
 
 _FIELD_CACHE: dict[tuple, Field] = {}
 
 
-def build_field(p: int, n: int, modulus: tuple[int, ...] | None = None,
-                size_cap: int = DEFAULT_SIZE_CAP) -> Field:
-    """Cached deterministic field constructor (fields are immutable).  The cap
-    is checked before the cache, which is keyed without it; `Field.build`
-    validates the rest on a miss."""
-    if n >= 1 and p**n > size_cap:
-        raise ValueError(f"field size {p}^{n} = {p**n} exceeds cap {size_cap}")
+def build_field(p: int, n: int, modulus: tuple[int, ...] | None = None) -> Field:
+    """Cached deterministic field constructor (fields are immutable);
+    `Field.build` validates the parameters on a miss."""
     key = (p, n, tuple(modulus) if modulus is not None else None)
     got = _FIELD_CACHE.get(key)
     if got is None:
-        got = Field.build(p, n, modulus=list(modulus) if modulus else None,
-                          size_cap=size_cap)
+        got = Field.build(p, n, modulus=list(modulus) if modulus else None)
         _FIELD_CACHE[key] = got
     return got

@@ -6,7 +6,6 @@ evaluation time, and only for nonzero bases, since x^(q-1) = 1 fails at 0).
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass
 
@@ -29,10 +28,6 @@ class PowerMap:
 class LookupTable:
     """F given by its full value table in canonical element order."""
     table: tuple[int, ...]
-
-    def digest(self) -> str:
-        h = hashlib.sha256(json.dumps(list(self.table)).encode())
-        return h.hexdigest()[:16]
 
 
 FunctionSpec = PowerMap | LookupTable

@@ -3,8 +3,8 @@ checked against the exhaustive counting engine.
 
 Each row is declared once (`Row`): its exponent family, its ordered branches
 of c-conditions with labels and predictions, and the fields of its default
-grid.  The applicability predicate, the prediction and the grid of the
-resulting `TheoremCase` are all derived from that declaration (`_case`).
+grid.  The row is the case: its applicability predicate, its prediction and
+its grid are methods derived from that declaration.
 
 Exact rows sweep every c satisfying their condition (a single c could mask a
 counterexample at these field sizes).  Upper-bound rows additionally record
@@ -98,15 +98,6 @@ class VerificationReport:
     max_attained: int | None           # over UpperBound instances, if any
 
 
-@dataclass(frozen=True)
-class TheoremCase:
-    id: str
-    statement: str
-    applies: Callable[[Field, int, int], bool]
-    predict: Callable[[Field, int, int], Prediction | None]
-    default_instances: Callable[[int], list[Instance]]
-
-
 # ---------------------------------------------------------------------------
 # Row declarations
 # ---------------------------------------------------------------------------
@@ -130,6 +121,10 @@ class Row:
     exponent the grid takes, branch by branch, every c in ascending order
     that the branch accepts; `sweep`, if set, then adds one aggregated
     instance over the last branch's c values.
+
+    At (field, d, c) the row looks up the first family exponent that is the
+    same map as x^d; it applies when one of its branches accepts c, and the
+    first such branch gives the prediction.
     """
     id: str
     statement: str
@@ -137,6 +132,38 @@ class Row:
     family: Callable[[Field], list[tuple[int, int | None]]]
     branches: tuple[Branch, ...]
     sweep: Callable[[Field], ValueSet] | None = None
+
+    def _branch_at(self, field: Field, d: int, c: int):
+        d = _fexp(field.q, d)
+        for e, k in self.family(field):
+            if _fexp(field.q, e) == d:
+                return next((b for b in self.branches if b.accepts(field, k, c)), None), k
+        return None, None
+
+    def applies(self, field: Field, d: int, c: int) -> bool:
+        return self._branch_at(field, d, c)[0] is not None
+
+    def predict(self, field: Field, d: int, c: int) -> Prediction | None:
+        branch, k = self._branch_at(field, d, c)
+        return None if branch is None else _at(branch.predicted, field, k)
+
+    def default_instances(self, max_size: int) -> list[Instance]:
+        out = []
+        for p, n, *pinned_k in self.fields:
+            if p**n > max_size:
+                continue
+            f = build_field(p, n)
+            for d, k in self.family(f):
+                if pinned_k and k != pinned_k[0]:
+                    continue
+                for branch in self.branches:
+                    label, predicted = _at(branch.label, f, k), _at(branch.predicted, f, k)
+                    cs = tuple(c for c in range(f.q) if branch.accepts(f, k, c))
+                    out.extend(Instance(p, n, d, k, c, label, predicted) for c in cs)
+                if self.sweep is not None:
+                    out.append(Instance(p, n, d, k, None, f"sweep {label}",
+                                        self.sweep(f), c_values=cs))
+        return out
 
 
 def _at(value, field: Field, k: int | None):
@@ -148,48 +175,6 @@ def _fexp(q: int, d: int) -> int:
     match after reduction into [1, q-1] (d, e >= 1)."""
     r = d % (q - 1) if q > 2 else 0
     return r if r else q - 1
-
-
-def _case(row: Row) -> TheoremCase:
-    """Derive the predicate, the prediction and the default grid of a row.
-
-    At (field, d, c) the row looks up the first family exponent that is the
-    same map as x^d; it applies when one of its branches accepts c, and the
-    first such branch gives the prediction.
-    """
-    def branch_at(field, d, c):
-        d = _fexp(field.q, d)
-        for e, k in row.family(field):
-            if _fexp(field.q, e) == d:
-                return next((b for b in row.branches if b.accepts(field, k, c)), None), k
-        return None, None
-
-    def applies(field, d, c):
-        return branch_at(field, d, c)[0] is not None
-
-    def predict(field, d, c):
-        branch, k = branch_at(field, d, c)
-        return None if branch is None else _at(branch.predicted, field, k)
-
-    def default_instances(max_size):
-        out = []
-        for p, n, *pinned_k in row.fields:
-            if p**n > max_size:
-                continue
-            f = build_field(p, n)
-            for d, k in row.family(f):
-                if pinned_k and k != pinned_k[0]:
-                    continue
-                for branch in row.branches:
-                    label, predicted = _at(branch.label, f, k), _at(branch.predicted, f, k)
-                    cs = tuple(c for c in range(f.q) if branch.accepts(f, k, c))
-                    out.extend(Instance(p, n, d, k, c, label, predicted) for c in cs)
-                if row.sweep is not None:
-                    out.append(Instance(p, n, d, k, None, f"sweep {label}",
-                                        row.sweep(f), c_values=cs))
-        return out
-
-    return TheoremCase(row.id, row.statement, applies, predict, default_instances)
 
 
 # ---------------------------------------------------------------------------
@@ -409,23 +394,21 @@ _ROWS = (
         (_c_minus_one(Exact(1)),)),
 )
 
-_REGISTRY: list[TheoremCase] = [_case(row) for row in _ROWS]
+
+def registry() -> list[Row]:
+    return list(_ROWS)
 
 
-def registry() -> list[TheoremCase]:
-    return list(_REGISTRY)
-
-
-def case_by_id(case_id: str) -> TheoremCase:
-    for case in _REGISTRY:
+def case_by_id(case_id: str) -> Row:
+    for case in _ROWS:
         if case.id == case_id:
             return case
     raise KeyError(f"unknown case id {case_id!r}")
 
 
-def applicable_cases(field: Field, d: int, c: int) -> list[TheoremCase]:
+def applicable_cases(field: Field, d: int, c: int) -> list[Row]:
     """All registry rows whose predicate holds literally at (field, d, c)."""
-    return [case for case in _REGISTRY if case.applies(field, d, c)]
+    return [case for case in _ROWS if case.applies(field, d, c)]
 
 
 # ---------------------------------------------------------------------------
@@ -450,11 +433,10 @@ def _evaluate_group(key, instances):
     return out
 
 
-def verify_case(case: TheoremCase, instances: list[Instance] | None = None,
-                max_size: int = DEFAULT_SIZE_CAP,
-                threads: int | None = None) -> VerificationReport:
+def verify_case(case: Row, instances: list[Instance] | None = None,
+                max_size: int = DEFAULT_SIZE_CAP) -> VerificationReport:
     """Check every instance of a case; reports (never raises) on prediction
-    failure.  `threads` is accepted and ignored."""
+    failure."""
     if instances is None:
         instances = case.default_instances(max_size)
     groups: dict[tuple, list[Instance]] = {}
@@ -470,9 +452,9 @@ def verify_case(case: TheoremCase, instances: list[Instance] | None = None,
                               max_attained=max(ub_observed) if ub_observed else None)
 
 
-def verify_all(case_ids: list[str] | None = None, max_size: int = DEFAULT_SIZE_CAP,
-               threads: int | None = None) -> list[VerificationReport]:
-    """Verify the named cases, or the whole registry; `threads` is ignored."""
+def verify_all(case_ids: list[str] | None = None,
+               max_size: int = DEFAULT_SIZE_CAP) -> list[VerificationReport]:
+    """Verify the named cases, or the whole registry."""
     cases = ([case_by_id(cid) for cid in case_ids] if case_ids else registry())
     return [verify_case(case, max_size=max_size) for case in cases]
 
@@ -504,10 +486,9 @@ def _summarize(report: VerificationReport) -> list[dict]:
     return rows
 
 
-def reproduce_table(max_size: int = DEFAULT_SIZE_CAP,
-                    threads: int | None = None) -> tuple[str, list[dict]]:
+def reproduce_table(max_size: int = DEFAULT_SIZE_CAP) -> tuple[str, list[dict]]:
     """Run every registry row over its default grid and render the verdict
-    table (markdown text plus raw rows for CSV); `threads` is ignored."""
+    table (markdown text plus raw rows for CSV)."""
     rows = []
     for report in verify_all(max_size=max_size):
         rows.extend(_summarize(report))

@@ -64,6 +64,13 @@ def test_field_modulus_override(capsys):
     assert "'1,x'" in err and "invalid literal" not in err
 
 
+def test_field_over_cap_exits_2_without_computing_q(capsys):
+    for n in ("10000", "30000000"):
+        code, out, err = run_cli(capsys, "field", "-p", "3", "-n", n)
+        assert code == 2 and out == ""
+        assert f"3^{n} exceeds cap" in err and "digits" not in err
+
+
 def test_uniformity_known_value(capsys):
     code, out, _ = run_cli(capsys, "uniformity", "-p", "3", "-n", "4",
                            "-d", "78", "-c", "-1")
@@ -131,13 +138,10 @@ def test_verify_unknown_case_is_usage_error(capsys):
 def test_verify_reports_failure_with_exit_1(capsys, monkeypatch):
     from cdiff import theorems
 
-    fake = theorems.TheoremCase(
-        id="fake", statement="always wrong",
-        applies=lambda f, d, c: True,
-        predict=lambda f, d, c: theorems.Exact(99),
-        default_instances=lambda cap: [
-            theorems.Instance(3, 2, 2, None, 0, "c = 0", theorems.Exact(99))])
-    monkeypatch.setattr(theorems, "_REGISTRY", [fake])
+    fake = theorems.Row(
+        "fake", "always wrong", ((3, 2),), lambda f: [(2, None)],
+        (theorems.Branch("c = 0", lambda f, k, c: c == 0, theorems.Exact(99)),))
+    monkeypatch.setattr(theorems, "_ROWS", (fake,))
     code, out, _ = run_cli(capsys, "verify")
     assert code == 1
     recs = records(out)

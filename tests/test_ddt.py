@@ -3,8 +3,9 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cdiff.field import Field, build_field
+from cdiff.field import Field, build_field, is_prime
 from cdiff.funcs import PowerMap, as_lookup
 from cdiff.ddt import (delta_count, ddt_row, general_uniformity, power_uniformity,
                        uniformity, sweep, c_set)
@@ -85,16 +86,7 @@ def test_power_equals_general_exhaustively(p, n):
     for d in range(1, f.q):
         lookup = as_lookup(f, PowerMap(d))
         for c in range(f.q):
-            fast = power_uniformity(f, d, c)
-            slow = general_uniformity(f, lookup, c)
-            assert fast.uniformity == slow.uniformity, (p, n, d, c)
-            assert fast.classification == slow.classification
-            a0 = _a0_row_spectrum(f.q, d, c)
-            reduced = dict(fast.spectrum)
-            full = {v: (f.q - 1) * (reduced.get(v, 0) - a0.get(v, 0)) + a0.get(v, 0)
-                    for v in set(reduced) | set(a0)}
-            assert {v: m for v, m in full.items() if m} == dict(slow.spectrum), \
-                (p, n, d, c)
+            _assert_routes_agree(f, d, c, lookup)
 
 
 def _a0_row_spectrum(q, d, c):
@@ -107,6 +99,56 @@ def _a0_row_spectrum(q, d, c):
     a0 = {0: (q - 1) - (q - 1) // g, 1: 1}
     a0[g] = a0.get(g, 0) + (q - 1) // g
     return a0
+
+
+def _assert_routes_agree(f, d, c, lookup):
+    fast = power_uniformity(f, d, c)
+    slow = general_uniformity(f, lookup, c)
+    assert fast.uniformity == slow.uniformity, (f.p, f.n, d, c)
+    assert fast.classification == slow.classification
+    a0 = _a0_row_spectrum(f.q, d, c)
+    reduced = dict(fast.spectrum)
+    full = {v: (f.q - 1) * (reduced.get(v, 0) - a0.get(v, 0)) + a0.get(v, 0)
+            for v in set(reduced) | set(a0)}
+    assert {v: m for v, m in full.items() if m} == dict(slow.spectrum), \
+        (f.p, f.n, d, c)
+
+
+# Property tests over every field with q <= 729: a random (field, d, c).
+_FIELDS_UP_TO_729 = [(p, n) for p in range(2, 730) if is_prime(p)
+                     for n in range(1, 10) if p**n <= 729]
+
+
+@st.composite
+def _power_instances(draw):
+    p, n = draw(st.sampled_from(_FIELDS_UP_TO_729))
+    f = build_field(p, n)
+    return f, draw(st.integers(1, 2 * f.q)), draw(st.integers(0, f.q - 1))
+
+
+@settings(derandomize=True, deadline=None)
+@given(_power_instances())
+def test_power_equals_general_property(instance):
+    f, d, c = instance
+    _assert_routes_agree(f, d, c, as_lookup(f, PowerMap(d)))
+
+
+@settings(derandomize=True, deadline=None)
+@given(_power_instances())
+def test_spectrum_is_frobenius_invariant_in_c(instance):
+    # x -> x^p maps the equation at c onto the one at c^p
+    f, d, c = instance
+    assert (power_uniformity(f, d, f.pow(c, f.p)).spectrum
+            == power_uniformity(f, d, c).spectrum)
+
+
+@settings(derandomize=True, deadline=None)
+@given(_power_instances())
+def test_spectrum_is_invariant_under_d_times_p(instance):
+    # x^(dp) = (x^d)^p composes x^d with the Frobenius automorphism
+    f, d, c = instance
+    assert (power_uniformity(f, d * f.p, c).spectrum
+            == power_uniformity(f, d, c).spectrum)
 
 
 @pytest.mark.parametrize("p,n,pairs", [(3, 5, 40), (2, 7, 40)])
@@ -182,10 +224,10 @@ def test_sweep_rejects_empty_c_set():
 def test_sweep_is_ordered_and_thread_invariant():
     f = build_field(3, 3)
     cs = [5, 1, 22, 0, 13]
-    seq = sweep(f, PowerMap(24), cs, threads=1)
-    par = sweep(f, PowerMap(24), cs, threads=4)
+    seq = sweep(f, PowerMap(24), cs)
+    again = sweep(f, PowerMap(24), cs)
     assert [r.c for r in seq] == sorted(cs)
-    assert seq == par
+    assert seq == again
 
 
 def test_sweep_of_lookup_table_takes_the_general_route():

@@ -53,7 +53,7 @@ def test_build_rejects_bad_parameters():
     with pytest.raises(ValueError):
         build_field(2, 23)           # over the default cap
     with pytest.raises(ValueError):
-        Field.build(2, 30, size_cap=2**10)
+        Field.build(2, 30)
     with pytest.raises(ValueError):
         Field.build(3, 2, modulus=[0, 0, 1])   # x^2 is reducible
     with pytest.raises(ValueError):
@@ -63,6 +63,11 @@ def test_build_rejects_bad_parameters():
     for build in (build_field, Field.build):
         with pytest.raises(ValueError, match="exceeds cap"):
             build(huge, 1)
+        # n is bounded before p^n is computed or printed
+        with pytest.raises(ValueError, match="exceeds cap"):
+            build(3, 10000)
+        with pytest.raises(ValueError, match="exceeds cap"):
+            build(3, 30000000)
         with pytest.raises(ValueError, match="extension degree"):
             build(huge, 0)
 

@@ -72,9 +72,3 @@ def test_function_json_round_trip():
     assert func_from_json(func_to_json(table)) == table
     with pytest.raises(ValueError):
         func_from_json('{"neither": 1}')
-
-
-def test_lookup_digest_stable():
-    t = LookupTable((0, 1, 2, 3))
-    assert t.digest() == LookupTable((0, 1, 2, 3)).digest()
-    assert t.digest() != LookupTable((0, 1, 3, 2)).digest()

@@ -5,7 +5,7 @@ import pytest
 
 from cdiff.field import build_field, is_prime, DEFAULT_SIZE_CAP
 from cdiff.ddt import power_uniformity
-from cdiff.theorems import (Exact, UpperBound, ValueSet, Instance, TheoremCase,
+from cdiff.theorems import (Exact, UpperBound, ValueSet, Instance, Branch, Row,
                             registry, case_by_id, applicable_cases, verify_case,
                             verify_all, reproduce_table)
 
@@ -133,11 +133,8 @@ def test_verify_value_set_instance():
 
 
 def test_verify_records_failures_without_raising():
-    fake = TheoremCase(
-        id="fake", statement="always wrong",
-        applies=lambda f, d, c: True,
-        predict=lambda f, d, c: Exact(99),
-        default_instances=lambda cap: [Instance(3, 2, 2, None, 0, "c = 0", Exact(99))])
+    fake = Row("fake", "always wrong", ((3, 2),), lambda f: [(2, None)],
+               (Branch("c = 0", lambda f, k, c: c == 0, Exact(99)),))
     report = verify_case(fake)
     assert not report.passed
     assert len(report.counterexamples) == 1
@@ -146,8 +143,8 @@ def test_verify_records_failures_without_raising():
 
 def test_verify_case_threads_deterministic():
     case = case_by_id("square")
-    a = verify_case(case, max_size=200, threads=1)
-    b = verify_case(case, max_size=200, threads=4)
+    a = verify_case(case, max_size=200)
+    b = verify_case(case, max_size=200)
     assert a == b
 
 
