@@ -1,10 +1,23 @@
 """c-difference-distribution counting and c-differential uniformity.
 
 Two routes are provided.  The general route scans every (a, b) pair at
-Theta(q^2) cost and works for arbitrary lookup tables.  The power-map route
-uses the a-scaling reduction: for F(x) = x^d every a != 0 row is a relabeling
-of the a = 1 row, and the a = 0 row contributes exactly gcd(d, q-1) when
-c != 1, so one row plus a gcd determines the uniformity at Theta(q) cost.
+Theta(q^2) cost and works for arbitrary lookup tables.  It is the reference
+the power-map route is tested against, so it uses neither the Zech table nor
+the report cache below.
+
+The power-map route uses the a-scaling reduction: for F(x) = x^d every a != 0
+row is a relabeling of the a = 1 row, and the a = 0 row contributes exactly
+gcd(d, q-1) when c != 1, so one row plus a gcd determines the uniformity at
+Theta(q) cost.  It counts that row in the log domain.  With the Zech
+logarithm Z[k] = log(1 + g^k), each x = g^k gives the log of
+(x+1)^d - c x^d by integer arithmetic mod q-1 and one lookup in Z, and a
+bincount over those logs is a relabeling of the row over b, so its histogram
+of counts is unchanged.
+
+A `sweep` builds the Zech table and the per-d logs once and shares them
+between its calls.  Since x^d commutes with the Frobenius x -> x^p, c and
+c^p have the same spectrum: a sweep counts each Frobenius orbit of c once
+and copies that report, with c replaced, to the orbit's other members.
 """
 
 from __future__ import annotations
@@ -83,29 +96,74 @@ def general_uniformity(field: Field, func: FunctionSpec, c: int) -> CDDTReport:
     return _report(c, hist, "full")
 
 
-def _power_tables(field: Field, d: int) -> tuple[np.ndarray, np.ndarray]:
-    values = field.pow_all(d)
-    shifted = values[field.add_v(field.elements(), 1)]
-    return values, shifted
+def _image_hist(q: int, d: int) -> np.ndarray:
+    """Histogram of the preimage counts of x^d over GF(q): one solution at
+    b = 0 and g = gcd(d, q-1) at each of the (q-1)/g nonzero d-th powers."""
+    g = math.gcd(d, q - 1)
+    hist = np.zeros(q + 1, dtype=np.int64)
+    hist[1] += 1
+    hist[g] += (q - 1) // g
+    hist[0] += (q - 1) - (q - 1) // g
+    return hist
+
+
+class _PowerContext:
+    """Log-domain state of x^d over one field, shared by one sweep's calls.
+
+    For x = g^k outside {0, -1}, (x+1)^d - c x^d = g^ls (1 + g^(D + log(-c)))
+    with ls = d Z[k] and D = d k - ls.  `reports` holds one report per
+    Frobenius orbit of c, keyed by the least log in the orbit.
+    """
+
+    def __init__(self, field: Field, d: int):
+        self.field, self.d = field, d
+        m = field.q - 1
+        total = field.add_v(field.exp, 1)
+        self.zech = np.where(total == 0, -1, field.log[total])
+        k = np.flatnonzero(self.zech >= 0)      # x = g^k with x + 1 != 0
+        self.ls = d % m * self.zech[k] % m
+        self.diff = (d % m * k - self.ls) % m
+        self.log_minus_one = int(field.log[field.neg(1)])
+        self.reports: dict[int, CDDTReport] = {}
+
+    def orbit_key(self, c: int) -> int:
+        """Least log over c, c^p, c^(p^2), ...; -1 for c = 0."""
+        f = self.field
+        k = int(f.log[c])
+        return -1 if c == 0 else min(k * f.p**i % (f.q - 1) for i in range(f.n))
+
+    def hist(self, c: int) -> np.ndarray:
+        """Histogram of the a = 1 row's counts, plus the a = 0 row if c != 1."""
+        q, m, d = self.field.q, self.field.q - 1, self.d
+        if c == 0:          # (x+1)^d = b: the row counts preimages of x^d
+            hist = _image_hist(q, d)
+        else:               # bins: log b for b != 0, m for b = 0
+            log_neg_c = (int(self.field.log[c]) + self.log_minus_one) % m
+            z = self.zech[(self.diff + log_neg_c) % m]
+            row = np.bincount(np.where(z < 0, m, (self.ls + z) % m), minlength=q)
+            row[0] += 1                                   # x = 0: b = 1
+            row[(log_neg_c + d * self.log_minus_one) % m] += 1  # x = -1: b = -c (-1)^d
+            hist = np.bincount(row, minlength=q + 1)
+        if c != 1:          # a = 0 row: (1-c) x^d = b
+            hist += _image_hist(q, d)
+        return hist
 
 
 def power_uniformity(field: Field, d: int, c: int,
-                     _tables: tuple[np.ndarray, np.ndarray] | None = None) -> CDDTReport:
-    """Uniformity of x^d at c from the a = 1 row plus the a = 0 gcd term."""
+                     _ctx: _PowerContext | None = None) -> CDDTReport:
+    """Uniformity of x^d at c from the a = 1 row plus the a = 0 gcd term.
+    `_ctx` is the context that `sweep` shares between its calls; without one,
+    the call builds its own and shares nothing."""
     if d < 1:
         raise ValueError("power-map exponent must be >= 1")
-    values, shifted = _tables if _tables is not None else _power_tables(field, d)
-    row = np.bincount(field.sub_v(shifted, field.mul_v(c, values)),
-                      minlength=field.q)
-    hist = np.bincount(row, minlength=field.q + 1)
-    if c != 1:
-        # a = 0 row: (1-c) x^d = b has one solution at b = 0 and g solutions
-        # at the (q-1)/g scaled d-th powers.
-        g = math.gcd(d, field.q - 1)
-        hist[1] += 1
-        hist[g] += (field.q - 1) // g
-        hist[0] += (field.q - 1) - (field.q - 1) // g
-    return _report(c, hist, "power-reduced")
+    ctx = _ctx if _ctx is not None else _PowerContext(field, d)
+    key = ctx.orbit_key(c)
+    rep = ctx.reports.get(key)
+    if rep is None:
+        rep = ctx.reports[key] = _report(c, ctx.hist(c), "power-reduced")
+    if rep.c != c:
+        rep = CDDTReport(c, rep.uniformity, rep.spectrum, rep.classification, rep.mode)
+    return rep
 
 
 def uniformity(field: Field, func: FunctionSpec, c: int) -> CDDTReport:
@@ -121,8 +179,8 @@ def sweep(field: Field, func: FunctionSpec, c_values) -> list[CDDTReport]:
     if not cs:
         raise ValueError("empty c-set")
     if isinstance(func, PowerMap):
-        tables = _power_tables(field, func.d)
-        return [power_uniformity(field, func.d, c, _tables=tables) for c in cs]
+        ctx = _PowerContext(field, func.d)
+        return [power_uniformity(field, func.d, c, _ctx=ctx) for c in cs]
     return [general_uniformity(field, func, c) for c in cs]
 
 

@@ -148,9 +148,10 @@ def _multiplicative_order_is_full(elem: list[int], modulus: list[int], p: int, q
 
 
 def _digit_add(x, y, p: int, n: int):
-    """Field sum of int64 arrays of encodings: digit-wise mod p (XOR for p = 2)."""
+    """Field sum of encodings, ints or int64 arrays: digit-wise mod p (XOR
+    for p = 2)."""
     if p == 2:
-        return np.bitwise_xor(x, y)
+        return x ^ y
     out, pi = 0, 1
     for _ in range(n):
         out = out + ((x // pi + y // pi) % p) * pi
@@ -216,19 +217,25 @@ class Field:
             if q > 2 and not _multiplicative_order_is_full(gen_digits, modulus, p, q, factors):
                 raise ValueError("generator override does not have full order")
 
-        # exp[k] = g^k by doubling.  x -> x*h with h = g^B is GF(p)-linear, so
-        # exp[B:2B] = exp[0:B]*h is the image of the low t digits plus that of
-        # the high n-t digits, read from tables of the matrix of h on digit patterns.
-        powers, t = p ** np.arange(n, dtype=np.int64), (n + 1) // 2
-        low = np.arange(p**t, dtype=np.int64)[:, None] // powers[:t] % p
-        high = np.arange(p**(n - t), dtype=np.int64)[:, None] // powers[:n - t] % p
+        # exp[k] = g^k by doubling: exp[B:2B] = exp[0:B]*h with h = g^B, a
+        # product mod p when n = 1.  For n > 1, x -> x*h is GF(p)-linear, so
+        # the product is the image of the low t digits plus that of the high
+        # n-t digits, read from tables of the matrix of h on digit patterns.
+        if n > 1:
+            powers, t = p ** np.arange(n, dtype=np.int64), (n + 1) // 2
+            low = np.arange(p**t, dtype=np.int64)[:, None] // powers[:t] % p
+            high = np.arange(p**(n - t), dtype=np.int64)[:, None] // powers[:n - t] % p
         exp, h = np.ones(1, dtype=np.int64), gen_digits
         while len(exp) < q - 1:
-            mat = np.array([_poly_mulmod(row, h, modulus, p)
-                            for row in np.eye(n, dtype=int).tolist()], dtype=np.int64)
-            low_img, high_img = low @ mat[:t] % p @ powers, high @ mat[t:] % p @ powers
             x = exp[:q - 1 - len(exp)]
-            exp = np.concatenate([exp, _digit_add(low_img[x % p**t], high_img[x // p**t], p, n)])
+            if n == 1:
+                image = x * h[0] % p
+            else:
+                mat = np.array([_poly_mulmod(row, h, modulus, p)
+                                for row in np.eye(n, dtype=int).tolist()], dtype=np.int64)
+                low_img, high_img = low @ mat[:t] % p @ powers, high @ mat[t:] % p @ powers
+                image = _digit_add(low_img[x % p**t], high_img[x // p**t], p, n)
+            exp = np.concatenate([exp, image])
             h = _poly_mulmod(h, h, modulus, p)
         if _poly_mulmod(gen_digits, _digits(int(exp[-1]), p, n), modulus, p) != _digits(1, p, n):
             raise ValueError("generator order is not q-1")  # defensive; validated above
@@ -266,13 +273,7 @@ class Field:
     # -- scalar arithmetic ---------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        if self.p == 2:
-            return a ^ b
-        p, out, pi = self.p, 0, 1
-        for _ in range(self.n):
-            out += ((a // pi + b // pi) % p) * pi
-            pi *= p
-        return out
+        return _digit_add(a, b, self.p, self.n)
 
     def neg(self, a: int) -> int:
         return int(self.neg_table[a])

@@ -6,7 +6,6 @@ evaluation time, and only for nonzero bases, since x^(q-1) = 1 fails at 0).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,18 +56,3 @@ def c_derivative(field: Field, func: FunctionSpec, c: int, a: int, x: int) -> in
     """F(x+a) - c*F(x)."""
     return field.sub(evaluate(field, func, field.add(x, a)),
                      field.mul(c, evaluate(field, func, x)))
-
-
-def func_to_json(func: FunctionSpec) -> str:
-    if isinstance(func, PowerMap):
-        return json.dumps({"power": func.d}, separators=(",", ":"))
-    return json.dumps({"table": list(func.table)}, separators=(",", ":"))
-
-
-def func_from_json(text: str) -> FunctionSpec:
-    obj = json.loads(text)
-    if "power" in obj:
-        return PowerMap(int(obj["power"]))
-    if "table" in obj:
-        return LookupTable(tuple(int(v) for v in obj["table"]))
-    raise ValueError("function JSON needs a 'power' or 'table' key")

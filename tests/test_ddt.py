@@ -77,8 +77,11 @@ def test_known_row_max_gf81():
     assert int(row.max()) == 6
 
 
-@pytest.mark.parametrize("p,n", [(2, 3), (3, 2), (5, 1), (7, 1), (2, 4), (3, 3),
-                                 (2, 5), (5, 2), (2, 6), (3, 4)])
+_EXHAUSTIVE_FIELDS = [(2, 3), (3, 2), (5, 1), (7, 1), (2, 4), (3, 3),
+                      (2, 5), (5, 2), (2, 6), (3, 4)]
+
+
+@pytest.mark.parametrize("p,n", _EXHAUSTIVE_FIELDS)
 def test_power_equals_general_exhaustively(p, n):
     # every exponent, every c, up to q = 81; the spectra agree as a whole:
     # full = (q-1)(reduced - a0) + a0, with a0 the analytic a = 0 row
@@ -102,8 +105,12 @@ def _a0_row_spectrum(q, d, c):
 
 
 def _assert_routes_agree(f, d, c, lookup):
-    fast = power_uniformity(f, d, c)
-    slow = general_uniformity(f, lookup, c)
+    _assert_spectra_agree(f, d, power_uniformity(f, d, c),
+                          general_uniformity(f, lookup, c))
+
+
+def _assert_spectra_agree(f, d, fast, slow):
+    c = fast.c
     assert fast.uniformity == slow.uniformity, (f.p, f.n, d, c)
     assert fast.classification == slow.classification
     a0 = _a0_row_spectrum(f.q, d, c)
@@ -112,6 +119,25 @@ def _assert_routes_agree(f, d, c, lookup):
             for v in set(reduced) | set(a0)}
     assert {v: m for v, m in full.items() if m} == dict(slow.spectrum), \
         (f.p, f.n, d, c)
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (3, 1)] + _EXHAUSTIVE_FIELDS)
+def test_sweep_reports_equal_single_and_general_reports(p, n):
+    # a sweep counts one c per Frobenius orbit and copies that report to the
+    # orbit's other members; every copy must equal a call without a shared
+    # context and agree with the general route on the whole spectrum
+    f = build_field(p, n)
+    general = {}
+    for d in range(1, 2 * f.q + 1):
+        lookup = as_lookup(f, PowerMap(d))    # d and d + q - 1 share a table
+        reports = sweep(f, PowerMap(d), range(f.q))
+        assert [r.c for r in reports] == list(range(f.q))
+        for rep in reports:
+            assert rep == power_uniformity(f, d, rep.c), (p, n, d, rep.c)
+            key = (lookup, rep.c)
+            if key not in general:
+                general[key] = general_uniformity(f, lookup, rep.c)
+            _assert_spectra_agree(f, d, rep, general[key])
 
 
 # Property tests over every field with q <= 729: a random (field, d, c).

@@ -147,7 +147,8 @@ ORACLE_FIELDS = ([(2, 1, None), (3, 1, None), (7, 1, None), (13, 1, None)]
                  + [(2, n, None) for n in range(3, 11)]
                  + [(3, n, None) for n in range(2, 7)]
                  + [(5, 2, None), (13, 2, None),
-                    (3, 2, [2, 2, 1]), (2, 4, [1, 0, 0, 1, 1])])
+                    (3, 2, [2, 2, 1]), (2, 4, [1, 0, 0, 1, 1])]
+                 + [(257, 1, None), (65537, 1, None)])
 
 
 @pytest.mark.parametrize("p,n,modulus", ORACLE_FIELDS)

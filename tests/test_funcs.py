@@ -2,7 +2,7 @@ import pytest
 
 from cdiff.field import build_field
 from cdiff.funcs import (PowerMap, LookupTable, evaluate, value_table, as_lookup,
-                         c_derivative, func_to_json, func_from_json)
+                         c_derivative)
 
 
 def test_power_map_eval_examples():
@@ -64,11 +64,3 @@ def test_c_derivative_matches_definition(p, n, rng):
                          f.mul(c, evaluate(f, power, x)))
         assert c_derivative(f, power, c, a, x) == expected
         assert c_derivative(f, lookup, c, a, x) == expected
-
-
-def test_function_json_round_trip():
-    assert func_from_json(func_to_json(PowerMap(78))) == PowerMap(78)
-    table = LookupTable((0, 3, 1, 2))
-    assert func_from_json(func_to_json(table)) == table
-    with pytest.raises(ValueError):
-        func_from_json('{"neither": 1}')
