@@ -2,8 +2,17 @@
 
 Two routes are provided.  The general route scans every (a, b) pair at
 Theta(q^2) cost and works for arbitrary lookup tables.  It is the reference
-the power-map route is tested against, so it uses neither the Zech table nor
-the report cache below.
+the power-map route is tested against, so it shares no addition code with
+it and uses neither the Zech table nor the report cache below.  It splits
+each encoding into its low t = ceil(n/2) base-p digits and its high n - t
+digits and writes each half in radix 2p-1, where two halves add as plain
+integers with no carries; a table per half maps such a sum back to the
+digit-wise sum mod p.  x + a is an outer sum over the two halves, and the
+packed F(x) and -c F(x) share one int64, high half above low, so
+F(x+a) - c F(x) is one gather and one add before the two reductions.  A
+pair costs about nine numpy element operations whatever p is.  The scan
+works on slabs of about 2^16 pairs, which keep a slab and its temporaries
+in cache.
 
 The power-map route uses the a-scaling reduction: for F(x) = x^d every a != 0
 row is a relabeling of the a = 1 row, and the a = 0 row contributes exactly
@@ -65,8 +74,17 @@ def _report(c: int, hist: np.ndarray, mode: str) -> CDDTReport:
                       classification=classification_of(u), mode=mode)
 
 
+def _check_element(field: Field, name: str, value) -> None:
+    """ValueError naming the argument unless `value` encodes an element."""
+    if not field.is_element(value):
+        raise ValueError(f"{name} = {value!r} is not an element of GF({field.q}): "
+                         f"expected an int in [0, {field.q})")
+
+
 def ddt_row(field: Field, func: FunctionSpec, c: int, a: int) -> np.ndarray:
     """Counts over b of solutions x to F(x+a) - c F(x) = b, one pass over x."""
+    _check_element(field, "c", c)
+    _check_element(field, "a", a)
     values = value_table(field, func)
     x = field.elements()
     deltas = field.sub_v(values[field.add_v(x, a)], field.mul_v(c, values))
@@ -75,24 +93,61 @@ def ddt_row(field: Field, func: FunctionSpec, c: int, a: int) -> np.ndarray:
 
 def delta_count(field: Field, func: FunctionSpec, c: int, a: int, b: int) -> int:
     """Exact number of solutions x of F(x+a) - c F(x) = b."""
+    _check_element(field, "b", b)
     return int(ddt_row(field, func, c, a)[b])
+
+
+# (a, x) pairs per slab of the general scan: small enough that a slab and
+# its temporaries stay in cache
+_SLAB_PAIRS = 2**16
+
+
+def _packing(p: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Tables that add k-digit base-p encodings as plain integers: pack[e]
+    holds the digits of e in radix 2p-1, so two packed values add with no
+    carries, and red[s] maps such a sum to the encoding of the digit-wise
+    sum mod p."""
+    r = 2 * p - 1
+    e, s = np.arange(p**k, dtype=np.int64), np.arange(r**k, dtype=np.int64)
+    pack, red = np.zeros_like(e), np.zeros_like(s)
+    for i in range(k):
+        pack += e // p**i % p * r**i
+        red += s // r**i % r % p * p**i
+    return pack, red
 
 
 def general_uniformity(field: Field, func: FunctionSpec, c: int) -> CDDTReport:
     """Max count over all (a, b), excluding a = 0 exactly when c = 1."""
+    _check_element(field, "c", c)
+    q, t = field.q, (field.n + 1) // 2
+    P = field.p**t                          # x = x_hi P + x_lo
+    pack_lo, red_lo = _packing(field.p, t)
+    pack_hi, red_hi = _packing(field.p, field.n - t)
+    red_hi = red_hi * P                     # reduced high digits, shifted by P
+    k = len(red_lo).bit_length()            # a sum of low halves is below 2^k
+
+    def packed(e):          # both halves of e in one int64, the high one above
+        return pack_hi[e // P] << k | pack_lo[e % P]
+
     values = value_table(field, func)
-    x = field.elements()
-    cv = field.mul_v(c, values)
-    hist = np.zeros(field.q + 1, dtype=np.int64)
-    a_start = 1 if c == 1 else 0
-    block = max(1, 2**22 // field.q)        # bounds the (a, x) slab size
-    for lo in range(a_start, field.q, block):
-        a_col = np.arange(lo, min(lo + block, field.q), dtype=np.int64)[:, None]
-        deltas = field.sub_v(values[field.add_v(x[None, :], a_col)], cv[None, :])
-        offsets = np.arange(len(a_col), dtype=np.int64)[:, None] * field.q
-        counts = np.bincount((deltas + offsets).ravel(),
-                             minlength=len(a_col) * field.q)
-        hist += np.bincount(counts, minlength=field.q + 1)
+    v, w = packed(values), packed(field.neg_table[field.mul_v(c, values)])  # F, -cF
+    hist = np.zeros(q + 1, dtype=np.int64)
+    block = max(1, _SLAB_PAIRS // q)
+    offsets = np.arange(0, block * q, q)[:, None]
+    for lo in range(1 if c == 1 else 0, q, block):
+        a = np.arange(lo, min(lo + block, q), dtype=np.int64)[:, None]
+        rows = len(a)
+        xa = (red_hi[pack_hi[a // P] + pack_hi][:, :, None]
+              + red_lo[pack_lo[a % P] + pack_lo][:, None, :]).reshape(rows, q)
+        sums = v[xa]
+        sums += w
+        high = sums >> k
+        sums &= (1 << k) - 1
+        deltas = red_hi[high]
+        deltas += red_lo[sums]
+        deltas += offsets[:rows]
+        counts = np.bincount(deltas.ravel(), minlength=rows * q)
+        hist += np.bincount(counts, minlength=q + 1)
     return _report(c, hist, "full")
 
 
@@ -156,6 +211,7 @@ def power_uniformity(field: Field, d: int, c: int,
     the call builds its own and shares nothing."""
     if d < 1:
         raise ValueError("power-map exponent must be >= 1")
+    _check_element(field, "c", c)
     ctx = _ctx if _ctx is not None else _PowerContext(field, d)
     key = ctx.orbit_key(c)
     rep = ctx.reports.get(key)

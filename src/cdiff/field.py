@@ -267,6 +267,10 @@ class Field:
         """Embed an integer through the prime subfield (value mod p)."""
         return value % self.p
 
+    def is_element(self, x) -> bool:
+        """True when x is an int encoding in [0, q)."""
+        return isinstance(x, (int, np.integer)) and 0 <= x < self.q
+
     def g_pow(self, k: int) -> int:
         return int(self.exp[k % (self.q - 1)])
 

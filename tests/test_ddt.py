@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cdiff.field import Field, build_field, is_prime
-from cdiff.funcs import PowerMap, as_lookup
+from cdiff.funcs import LookupTable, PowerMap, as_lookup
 from cdiff.ddt import (delta_count, ddt_row, general_uniformity, power_uniformity,
                        uniformity, sweep, c_set)
 
@@ -177,14 +177,40 @@ def test_spectrum_is_invariant_under_d_times_p(instance):
             == power_uniformity(f, d, c).spectrum)
 
 
-@pytest.mark.parametrize("p,n,pairs", [(3, 5, 40), (2, 7, 40)])
+@pytest.mark.parametrize("p,n,pairs", [(3, 5, 40), (2, 7, 40), (7, 3, 40)])
 def test_power_equals_general_sampled_above(p, n, pairs, rng):
     f = build_field(p, n)
     for _ in range(pairs):
         d = rng.randrange(1, f.q)
         c = rng.randrange(f.q)
-        assert (power_uniformity(f, d, c).uniformity
-                == general_uniformity(f, as_lookup(f, PowerMap(d)), c).uniformity)
+        _assert_routes_agree(f, d, c, as_lookup(f, PowerMap(d)))
+
+
+def _rowwise_spectrum(f, func, c):
+    """Whole spectrum of the general route from one digit-add `ddt_row` per
+    admissible a."""
+    hist = np.zeros(f.q + 1, dtype=np.int64)
+    for a in range(1 if c == 1 else 0, f.q):
+        hist += np.bincount(ddt_row(f, func, c, a), minlength=f.q + 1)
+    values = np.flatnonzero(hist)
+    return tuple(zip(values.tolist(), hist[values].tolist()))
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (2, 2), (3, 1), (2, 3), (3, 2), (2, 4),
+                                 (17, 1), (5, 2), (3, 3), (257, 1), (17, 2),
+                                 (2, 9), (3, 6), (5, 3)])
+def test_general_route_on_random_lookup_tables(p, n, rng):
+    # maps that are not power maps have a != 0 rows with different spectra;
+    # the fields cover n = 1, odd n and slabs that end part-way through
+    f = build_field(p, n)
+    for _ in range(2):
+        table = tuple(rng.randrange(f.q) for _ in range(f.q))
+        func = LookupTable(table)
+        for c in sorted({0, 1, f.generator, rng.randrange(f.q)}):
+            rep = general_uniformity(f, func, c)
+            assert rep.spectrum == _rowwise_spectrum(f, func, c), (p, n, c)
+            if f.q <= 27:
+                assert rep.uniformity == brute_uniformity(f, table.__getitem__, c)
 
 
 def test_uniformity_against_scalar_brute_force(rng):
@@ -305,6 +331,37 @@ def test_power_uniformity_rejects_exponent_below_one(d):
     f = build_field(2, 3)
     with pytest.raises(ValueError, match="power-map exponent must be >= 1"):
         power_uniformity(f, d, 0)
+
+
+@pytest.mark.parametrize("c", [-1, 9, 2**70])
+@pytest.mark.parametrize("route", [
+    lambda f, c: power_uniformity(f, 3, c),
+    lambda f, c: general_uniformity(f, PowerMap(3), c),
+    lambda f, c: uniformity(f, PowerMap(3), c),
+    lambda f, c: uniformity(f, as_lookup(f, PowerMap(3)), c),
+    lambda f, c: sweep(f, PowerMap(3), [0, c]),
+    lambda f, c: sweep(f, as_lookup(f, PowerMap(3)), [0, c]),
+    lambda f, c: ddt_row(f, PowerMap(3), c, 1),
+])
+def test_every_route_rejects_c_outside_the_field(route, c):
+    # c = -1 used to be counted as the element 8 and reported as c = -1
+    f = build_field(3, 2)
+    with pytest.raises(ValueError, match=re.escape(f"c = {c} is not an element of GF(9)")):
+        route(f, c)
+
+
+@pytest.mark.parametrize("a,b", [(-1, 0), (9, 0), (0, -1), (0, 9), (1.5, 0)])
+def test_row_and_count_reject_a_and_b_outside_the_field(a, b):
+    # a = 9 used to return the a = 0 row
+    f = build_field(3, 2)
+    name, value = ("a", a) if b == 0 else ("b", b)
+    message = re.escape(f"{name} = {value} is not an element of GF(9): "
+                        "expected an int in [0, 9)")
+    with pytest.raises(ValueError, match=message):
+        delta_count(f, PowerMap(3), 2, a, b)
+    if name == "a":
+        with pytest.raises(ValueError, match=message):
+            ddt_row(f, PowerMap(3), 2, a)
 
 
 def test_uniformity_invariant_under_modulus_choice():

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from cdiff.field import build_field
@@ -37,6 +39,17 @@ def test_lookup_length_validated():
     f = build_field(2, 3)
     with pytest.raises(ValueError):
         value_table(f, LookupTable((0, 1, 2)))
+
+
+@pytest.mark.parametrize("bad", [-1, 3.5, 9, "4", None, 2**70])
+def test_lookup_entries_validated(bad):
+    # an entry outside [0, q) or not an int used to be read as another element
+    f = build_field(3, 2)
+    table = list(range(9))
+    table[5] = bad
+    with pytest.raises(ValueError, match=re.escape(f"lookup table entry 5 is {bad!r}, "
+                                                   "not an int in [0, 9)")):
+        value_table(f, LookupTable(tuple(table)))
 
 
 def test_c_derivative_trivial_cases():
