@@ -231,7 +231,10 @@ def uniformity(field: Field, func: FunctionSpec, c: int) -> CDDTReport:
 
 def sweep(field: Field, func: FunctionSpec, c_values) -> list[CDDTReport]:
     """Independent reports for every c, in canonical element order."""
-    cs = sorted(int(c) for c in c_values)
+    cs = list(c_values)
+    for c in cs:
+        _check_element(field, "c", c)
+    cs = sorted(int(c) for c in cs)
     if not cs:
         raise ValueError("empty c-set")
     if isinstance(func, PowerMap):

@@ -44,16 +44,12 @@ def value_table(field: Field, func: FunctionSpec) -> np.ndarray:
         return field.pow_all(func.d)
     if len(func.table) != field.q:
         raise ValueError(f"lookup table has {len(func.table)} entries, field has {field.q}")
-    values = np.asarray(func.table)
-    if values.dtype.kind in "iu":
-        bad = np.flatnonzero((values < 0) | (values >= field.q))
-    else:   # a float, str, None or int beyond int64 among the entries
-        bad = [i for i, v in enumerate(func.table) if not field.is_element(v)]
-    if len(bad):
-        i = int(bad[0])
+    bad = [i for i, v in enumerate(func.table) if not field.is_element(v)]
+    if bad:
+        i = bad[0]
         raise ValueError(f"lookup table entry {i} is {func.table[i]!r}, "
                          f"not an int in [0, {field.q})")
-    return values.astype(np.int64, copy=False)
+    return np.asarray(func.table, dtype=np.int64)
 
 
 def as_lookup(field: Field, func: PowerMap) -> LookupTable:

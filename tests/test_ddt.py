@@ -333,7 +333,7 @@ def test_power_uniformity_rejects_exponent_below_one(d):
         power_uniformity(f, d, 0)
 
 
-@pytest.mark.parametrize("c", [-1, 9, 2**70])
+@pytest.mark.parametrize("c", [-1, 9, 2**70, 1.5, "3"])
 @pytest.mark.parametrize("route", [
     lambda f, c: power_uniformity(f, 3, c),
     lambda f, c: general_uniformity(f, PowerMap(3), c),
@@ -346,7 +346,7 @@ def test_power_uniformity_rejects_exponent_below_one(d):
 def test_every_route_rejects_c_outside_the_field(route, c):
     # c = -1 used to be counted as the element 8 and reported as c = -1
     f = build_field(3, 2)
-    with pytest.raises(ValueError, match=re.escape(f"c = {c} is not an element of GF(9)")):
+    with pytest.raises(ValueError, match=re.escape(f"c = {c!r} is not an element of GF(9)")):
         route(f, c)
 
 
