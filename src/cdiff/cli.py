@@ -115,9 +115,19 @@ def _instance_record(case_id: str, result) -> dict:
             "observed": observed, "ok": result.ok}
 
 
+def _no_instance_error(case_ids: list[str] | None, max_size: int) -> ValueError:
+    """The usage error for a --max-size below every grid field of the cases."""
+    cases = [theorems.case_by_id(i) for i in case_ids] if case_ids else theorems.registry()
+    smallest = min(p**n for case in cases for p, n, *_ in case.fields)
+    return ValueError(f"--max-size {max_size} selects no instance: the smallest "
+                      f"grid field has q = {smallest}")
+
+
 def _cmd_verify(args) -> int:
     ids = [args.case] if args.case else None
     reports = theorems.verify_all(case_ids=ids, max_size=args.max_size)
+    if not any(report.results for report in reports):
+        raise _no_instance_error(ids, args.max_size)
     failed = False
     for report in reports:
         for result in report.results:
@@ -132,6 +142,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_table(args) -> int:
     markdown, rows = theorems.reproduce_table(max_size=args.max_size)
+    if not rows:
+        raise _no_instance_error(None, args.max_size)
     if args.csv:
         header = ["case", "p", "n", "d", "condition", "predicted", "observed", "verdict"]
         print(",".join(header))
@@ -155,11 +167,11 @@ def _cmd_dickson(args) -> int:
                        "predicted": r.predicted, "branch": r.branch,
                        "m_gcd": params.m_gcd, "lbar": params.lbar,
                        "two_adic_r": params.r})
-    else:
-        values = dickson_values(f, args.m)
-        _print_record({"schema": SCHEMA, "record": "dickson-values",
-                       "p": f.p, "n": f.n, "m": args.m,
-                       "values": [int(v) for v in values]})
+        return 1 if r.count != r.predicted else 0
+    values = dickson_values(f, args.m)
+    _print_record({"schema": SCHEMA, "record": "dickson-values",
+                   "p": f.p, "n": f.n, "m": args.m,
+                   "values": [int(v) for v in values]})
     return 0
 
 
@@ -170,7 +182,8 @@ def _cmd_gold_dist(args) -> int:
                    "counts": [list(pair) for pair in dist.counts],
                    "zero_beta_solutions": dist.zero_beta_solutions,
                    "predicted": [list(pair) for pair in dist.predicted]})
-    return 0
+    counts = dist.counts_dict()
+    return 1 if any(counts.get(m, 0) != number for m, number in dist.predicted) else 0
 
 
 def _cmd_partition(args) -> int:

@@ -3,16 +3,17 @@
 Two routes are provided.  The general route scans every (a, b) pair at
 Theta(q^2) cost and works for arbitrary lookup tables.  It is the reference
 the power-map route is tested against, so it shares no addition code with
-it and uses neither the Zech table nor the report cache below.  It splits
-each encoding into its low t = ceil(n/2) base-p digits and its high n - t
-digits and writes each half in radix 2p-1, where two halves add as plain
-integers with no carries; a table per half maps such a sum back to the
-digit-wise sum mod p.  x + a is an outer sum over the two halves, and the
-packed F(x) and -c F(x) share one int64, high half above low, so
-F(x+a) - c F(x) is one gather and one add before the two reductions.  A
-pair costs about nine numpy element operations whatever p is.  The scan
-works on slabs of about 2^16 pairs, which keep a slab and its temporaries
-in cache.
+it and uses neither the Zech table nor the report cache below.  Over
+GF(2^n) addition and subtraction are XOR, so F(x+a) - c F(x) is
+F(a ^ x) ^ c F(x): one XOR, one gather and one XOR per pair.  For odd p it
+splits each encoding into its low t = ceil(n/2) base-p digits and its high
+n - t digits and writes each half in radix 2p-1, where two halves add as
+plain integers with no carries; a table per half maps such a sum back to
+the digit-wise sum mod p.  x + a is an outer sum over the two halves, and
+the packed F(x) and -c F(x) share one int64, high half above low, so
+F(x+a) - c F(x) is one gather and one add before the two reductions, about
+nine numpy element operations per pair.  The scan works on slabs of about
+2^16 pairs, which keep a slab and its temporaries in cache.
 
 The power-map route uses the a-scaling reduction: for F(x) = x^d every a != 0
 row is a relabeling of the a = 1 row, and the a = 0 row contributes exactly
@@ -119,33 +120,48 @@ def _packing(p: int, k: int) -> tuple[np.ndarray, np.ndarray]:
 def general_uniformity(field: Field, func: FunctionSpec, c: int) -> CDDTReport:
     """Max count over all (a, b), excluding a = 0 exactly when c = 1."""
     _check_element(field, "c", c)
-    q, t = field.q, (field.n + 1) // 2
-    P = field.p**t                          # x = x_hi P + x_lo
-    pack_lo, red_lo = _packing(field.p, t)
-    pack_hi, red_hi = _packing(field.p, field.n - t)
-    red_hi = red_hi * P                     # reduced high digits, shifted by P
-    k = len(red_lo).bit_length()            # a sum of low halves is below 2^k
-
-    def packed(e):          # both halves of e in one int64, the high one above
-        return pack_hi[e // P] << k | pack_lo[e % P]
-
+    q = field.q
     values = value_table(field, func)
-    v, w = packed(values), packed(field.neg_table[field.mul_v(c, values)])  # F, -cF
-    hist = np.zeros(q + 1, dtype=np.int64)
     block = max(1, _SLAB_PAIRS // q)
-    offsets = np.arange(0, block * q, q)[:, None]
+    offsets = np.arange(0, block * q, q)[:, None]   # bincount bins of each slab row
+    if field.p == 2:
+        # x + a = a ^ x and -1 = 1, so F(x+a) - c F(x) = F(a ^ x) ^ c F(x);
+        # c F(x) < 2^n, so OR adds the row offsets above it and the XOR
+        # with F(a ^ x) < 2^n leaves them alone
+        x, w = field.elements(), field.mul_v(c, values) | offsets
+    else:
+        t = (field.n + 1) // 2
+        P = field.p**t                      # x = x_hi P + x_lo
+        pack_lo, red_lo = _packing(field.p, t)
+        pack_hi, red_hi = _packing(field.p, field.n - t)
+        red_hi = red_hi * P                 # reduced high digits, shifted by P
+        k = len(red_lo).bit_length()        # a sum of low halves is below 2^k
+
+        def packed(e):      # both halves of e in one int64, the high one above
+            return pack_hi[e // P] << k | pack_lo[e % P]
+
+        v, w = packed(values), packed(field.neg_table[field.mul_v(c, values)])  # F, -cF
+    hist = np.zeros(q + 1, dtype=np.int64)
+    # Both kernels stay inline, so each slab's arrays live until the next
+    # slab rebinds them.  Freed all at once, as on return from a per-slab
+    # helper, their pages go back to the OS and every slab faults them in
+    # again, at 1.5-2x the time per pair.
     for lo in range(1 if c == 1 else 0, q, block):
         a = np.arange(lo, min(lo + block, q), dtype=np.int64)[:, None]
         rows = len(a)
-        xa = (red_hi[pack_hi[a // P] + pack_hi][:, :, None]
-              + red_lo[pack_lo[a % P] + pack_lo][:, None, :]).reshape(rows, q)
-        sums = v[xa]
-        sums += w
-        high = sums >> k
-        sums &= (1 << k) - 1
-        deltas = red_hi[high]
-        deltas += red_lo[sums]
-        deltas += offsets[:rows]
+        if field.p == 2:
+            deltas = values[a ^ x]
+            deltas ^= w[:rows]
+        else:
+            xa = (red_hi[pack_hi[a // P] + pack_hi][:, :, None]
+                  + red_lo[pack_lo[a % P] + pack_lo][:, None, :]).reshape(rows, q)
+            sums = v[xa]
+            sums += w
+            high = sums >> k
+            sums &= (1 << k) - 1
+            deltas = red_hi[high]
+            deltas += red_lo[sums]
+            deltas += offsets[:rows]
         counts = np.bincount(deltas.ravel(), minlength=rows * q)
         hist += np.bincount(counts, minlength=q + 1)
     return _report(c, hist, "full")

@@ -130,6 +130,19 @@ def test_verify_case_exit_codes(capsys):
     assert all(r["observed"] <= 3 for r in recs if r["record"] == "instance")
 
 
+@pytest.mark.parametrize("argv,max_size,smallest", [
+    (("verify",), "3", 5),
+    (("verify", "--case", "two-thirds"), "4", 5),
+    (("verify", "--case", "bt-rows"), "6", 7),
+    (("table",), "-5", 5),
+    (("table", "--csv"), "4", 5)])
+def test_max_size_that_selects_nothing_exits_2(capsys, argv, max_size, smallest):
+    code, out, err = run_cli(capsys, *argv, "--max-size", max_size)
+    assert code == 2 and out == ""
+    assert f"--max-size {max_size} selects no instance" in err
+    assert f"q = {smallest}" in err
+
+
 def test_verify_unknown_case_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "verify", "--case", "nope")
     assert code == 2 and "nope" in err
@@ -186,6 +199,22 @@ def test_dickson_commands(capsys):
     assert rec["count"] == rec["predicted"]
 
 
+def test_dickson_preimage_disagreement_exits_1(capsys, monkeypatch):
+    from dataclasses import replace
+    from cdiff import closedform
+
+    args = ("dickson", "-p", "3", "-n", "2", "-m", "6", "--preimage", "g^2")
+    code, out, _ = run_cli(capsys, *args)
+    good = records(out)[0]
+    assert code == 0 and good["branch"] == "square-disc"
+    params = closedform.dickson_params
+    monkeypatch.setattr(closedform, "dickson_params",
+                        lambda f, d: replace(params(f, d), m_gcd=params(f, d).m_gcd + 1))
+    code, out, _ = run_cli(capsys, *args)
+    assert code == 1
+    assert records(out) == [{**good, "predicted": good["predicted"] + 1}]
+
+
 def test_dickson_preimage_rejects_degree_zero(capsys):
     code, out, err = run_cli(capsys, "dickson", "-p", "3", "-n", "2", "-m", "0",
                              "--preimage", "1")
@@ -199,6 +228,33 @@ def test_gold_dist_command(capsys):
     rec = records(out)[0]
     assert rec["counts"] == [[0, 11], [1, 15], [3, 5]]
     assert rec["counts"] == rec["predicted"]
+
+
+def test_gold_dist_disagreement_exits_1(capsys, monkeypatch):
+    from dataclasses import replace
+    from cdiff import cli, closedform
+
+    # gcd(6, 2) = 2: only the top count is predicted, the other keys are not
+    code, out, _ = run_cli(capsys, "gold-dist", "-n", "6", "-k", "2")
+    good = records(out)[0]
+    assert code == 0 and len(good["predicted"]) == 1 and len(good["counts"]) > 1
+    top = closedform._gold_top_count
+    monkeypatch.setattr(closedform, "_gold_top_count", lambda m, d: top(m, d) + 1)
+    code, out, _ = run_cli(capsys, "gold-dist", "-n", "6", "-k", "2")
+    assert code == 1
+    (solutions, number), = good["predicted"]
+    assert records(out) == [{**good, "predicted": [[solutions, number + 1]]}]
+
+    # gcd(5, 1) = 1: three counts are predicted; one wrong count fails
+    dist = closedform.gold_solution_distribution
+    def one_wrong(n, k):
+        right = dist(n, k)
+        (m, number), *rest = right.predicted
+        return replace(right, predicted=((m, number + 1), *rest))
+    monkeypatch.setattr(cli, "gold_solution_distribution", one_wrong)
+    code, out, _ = run_cli(capsys, "gold-dist", "-n", "5", "-k", "1")
+    assert code == 1
+    assert records(out)[0]["predicted"] == [[0, 12], [1, 15], [3, 5]]
 
 
 def test_gold_dist_rejects_k_below_one(capsys):

@@ -198,10 +198,12 @@ def _rowwise_spectrum(f, func, c):
 
 @pytest.mark.parametrize("p,n", [(2, 1), (2, 2), (3, 1), (2, 3), (3, 2), (2, 4),
                                  (17, 1), (5, 2), (3, 3), (257, 1), (17, 2),
-                                 (2, 9), (3, 6), (5, 3)])
+                                 (2, 9), (3, 6), (5, 3), (2, 10)])
 def test_general_route_on_random_lookup_tables(p, n, rng):
     # maps that are not power maps have a != 0 rows with different spectra;
-    # the fields cover n = 1, odd n and slabs that end part-way through
+    # the fields cover n = 1, odd n and slabs that end part-way through;
+    # GF(2^10) runs the XOR kernel over 16 slabs of 64 rows, the last one
+    # partial at c = 1
     f = build_field(p, n)
     for _ in range(2):
         table = tuple(rng.randrange(f.q) for _ in range(f.q))
