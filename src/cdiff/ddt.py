@@ -124,11 +124,11 @@ def general_uniformity(field: Field, func: FunctionSpec, c: int) -> CDDTReport:
     values = value_table(field, func)
     block = max(1, _SLAB_PAIRS // q)
     offsets = np.arange(0, block * q, q)[:, None]   # bincount bins of each slab row
+    w = field.mul_v(field.neg(c), values)           # -c F(x)
     if field.p == 2:
-        # x + a = a ^ x and -1 = 1, so F(x+a) - c F(x) = F(a ^ x) ^ c F(x);
-        # c F(x) < 2^n, so OR adds the row offsets above it and the XOR
-        # with F(a ^ x) < 2^n leaves them alone
-        x, w = field.elements(), field.mul_v(c, values) | offsets
+        # x + a = a ^ x, so F(x+a) - c F(x) = F(a ^ x) ^ w; w < 2^n, so OR adds
+        # the row offsets above it and the XOR with F(a ^ x) < 2^n keeps them
+        x, w = field.elements(), w | offsets
     else:
         t = (field.n + 1) // 2
         P = field.p**t                      # x = x_hi P + x_lo
@@ -140,7 +140,7 @@ def general_uniformity(field: Field, func: FunctionSpec, c: int) -> CDDTReport:
         def packed(e):      # both halves of e in one int64, the high one above
             return pack_hi[e // P] << k | pack_lo[e % P]
 
-        v, w = packed(values), packed(field.neg_table[field.mul_v(c, values)])  # F, -cF
+        v, w = packed(values), packed(w)
     hist = np.zeros(q + 1, dtype=np.int64)
     # Both kernels stay inline, so each slab's arrays live until the next
     # slab rebinds them.  Freed all at once, as on return from a per-slab

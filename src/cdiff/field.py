@@ -105,25 +105,26 @@ def _encode(digits: list[int], p: int) -> int:
     return e
 
 
+def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
+    """A greatest common divisor of a and b over Z_p, by Euclid (not normalized)."""
+    while _poly_degree(b) >= 0:
+        a, b = b, _poly_rem(a, b, p)
+    return a
+
+
 def is_irreducible(coeffs: list[int], p: int) -> bool:
-    """Irreducibility of a monic polynomial over Z_p by root test and trial
-    division against every monic polynomial of degree up to deg/2."""
+    """Ben-Or's test: f of degree n over Z_p is reducible iff gcd(x^(p^i) - x, f)
+    is not a constant for some i <= n/2."""
     n = _poly_degree(coeffs)
     if n <= 0:
         return False
-    if n == 1:
-        return True
-    for r in range(p):
-        v = 0
-        for c in reversed(coeffs):
-            v = (v * r + c) % p
-        if v == 0:
+    f = [c * pow(coeffs[n], -1, p) % p for c in coeffs[:n + 1]]  # monic, for _poly_mulmod
+    h = [0, 1]      # x^(p^i) mod f
+    for _ in range(n // 2):
+        h = _poly_powmod(h, p, f, p)
+        h_minus_x = [h[0], (h[1] - 1) % p] + h[2:]
+        if _poly_degree(_poly_gcd(f, h_minus_x, p)) > 0:
             return False
-    for dg in range(2, n // 2 + 1):
-        for e in range(p**dg):
-            divisor = _digits(e, p, dg) + [1]
-            if _poly_degree(_poly_rem(coeffs, divisor, p)) < 0:
-                return False
     return True
 
 
@@ -173,7 +174,6 @@ class Field:
     generator: int                    # canonical encoding
     exp: np.ndarray = dataclass_field(repr=False)     # exp[k] = generator^k, length q-1
     log: np.ndarray = dataclass_field(repr=False)     # log[exp[k]] = k; log[0] = 0 (guarded)
-    neg_table: np.ndarray = dataclass_field(repr=False)
 
     # -- construction -------------------------------------------------------
 
@@ -241,14 +241,12 @@ class Field:
             raise ValueError("generator order is not q-1")  # defensive; validated above
         log = np.zeros(q, dtype=np.int64)
         log[exp] = np.arange(q - 1, dtype=np.int64)
-        neg = np.zeros(q, dtype=np.int64)   # -x = x * g^((q-1)/2) for odd p, x for p = 2
-        neg[exp] = np.roll(exp, -((q - 1) // 2) if p > 2 else 0)
-        for table in (exp, log, neg):
+        for table in (exp, log):
             table.setflags(write=False)
 
         return Field(p=p, n=n, q=q, modulus=tuple(modulus),
                      generator=int(exp[1]) if q > 2 else 1,
-                     exp=exp, log=log, neg_table=neg)
+                     exp=exp, log=log)
 
     # -- element views ------------------------------------------------------
 
@@ -280,10 +278,10 @@ class Field:
         return _digit_add(a, b, self.p, self.n)
 
     def neg(self, a: int) -> int:
-        return int(self.neg_table[a])
+        return self.mul(a, self.p - 1)      # -1 is encoded as the integer p - 1
 
     def sub(self, a: int, b: int) -> int:
-        return self.add(a, int(self.neg_table[b]))
+        return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
@@ -337,7 +335,7 @@ class Field:
         return _digit_add(x, y, self.p, self.n)
 
     def sub_v(self, x, y):
-        return self.add_v(x, self.neg_table[y])
+        return self.add_v(x, self.mul_v(y, self.p - 1))
 
     def mul_v(self, x, y):
         zero = (x == 0) | (y == 0)

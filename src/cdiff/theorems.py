@@ -119,8 +119,8 @@ class Row:
     field.  The default grid runs the family over `fields`, whose entries are
     (p, n), or (p, n, k) to keep only the exponent with that k.  For each
     exponent the grid takes, branch by branch, every c in ascending order
-    that the branch accepts; `sweep`, if set, then adds one aggregated
-    instance over the last branch's c values.
+    that the branch accepts; `sweep`, where it knows the field's value set,
+    then adds one aggregated instance over the last branch's c values.
 
     At (field, d, c) the row looks up the first family exponent that is the
     same map as x^d; it applies when one of its branches accepts c, and the
@@ -131,7 +131,7 @@ class Row:
     fields: tuple[tuple, ...]
     family: Callable[[Field], list[tuple[int, int | None]]]
     branches: tuple[Branch, ...]
-    sweep: Callable[[Field], ValueSet] | None = None
+    sweep: Callable[[Field], frozenset[int] | None] = lambda f: None
 
     def _branch_at(self, field: Field, d: int, c: int):
         d = _fexp(field.q, d)
@@ -160,9 +160,9 @@ class Row:
                     label, predicted = _at(branch.label, f, k), _at(branch.predicted, f, k)
                     cs = tuple(c for c in range(f.q) if branch.accepts(f, k, c))
                     out.extend(Instance(p, n, d, k, c, label, predicted) for c in cs)
-                if self.sweep is not None:
+                if (values := self.sweep(f)) is not None:
                     out.append(Instance(p, n, d, k, None, f"sweep {label}",
-                                        self.sweep(f), c_values=cs))
+                                        ValueSet(values), c_values=cs))
         return out
 
 
@@ -372,7 +372,7 @@ _ROWS = (
          Branch("c = 0", lambda f, k, c: c == 0, Exact(2)),
          Branch("c not in {0,1,-1}", lambda f, k, c: c not in (0, 1, f.p - 1),
                 UpperBound(5))),
-        sweep=lambda f: ValueSet(_PN3_VALUE_SETS[f.n])),
+        sweep=lambda f: _PN3_VALUE_SETS.get(f.n)),
     Row("pn-minus-3-classical",
         "x^(3^n-3) at c = 1: uniformity 2 (odd n > 1), 4 (n = 2 mod 4, n > 2), "
         "5 (n = 0 mod 4)",

@@ -33,6 +33,28 @@ def ref_eval_poly(coeffs, x, p):
     return v
 
 
+def ref_poly_rem(f, g, p):
+    """f mod g over Z_p by long division, g monic."""
+    f, dg = list(f), len(g) - 1
+    for k in range(len(f) - 1, dg - 1, -1):
+        top = f[k]
+        for i in range(dg + 1):
+            f[k - dg + i] = (f[k - dg + i] - top * g[i]) % p
+    return f[:dg]
+
+
+def ref_is_irreducible(coeffs, p):
+    """Trial division of a monic polynomial of degree >= 1 by every monic
+    polynomial of degree 1 to deg/2."""
+    n = len(coeffs) - 1
+    for dg in range(1, n // 2 + 1):
+        for e in range(p**dg):
+            divisor = [e // p**i % p for i in range(dg)] + [1]
+            if not any(ref_poly_rem(coeffs, divisor, p)):
+                return False
+    return True
+
+
 def brute_delta_count(field, eval_fn, c, a, b):
     """Count solutions x of F(x+a) - c F(x) = b with scalar field ops only."""
     return sum(1 for x in range(field.q)

@@ -8,6 +8,7 @@ import pytest
 
 from cdiff.cli import main, parse_element
 from cdiff.field import build_field
+from cdiff import theorems
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -141,6 +142,16 @@ def test_max_size_that_selects_nothing_exits_2(capsys, argv, max_size, smallest)
     assert code == 2 and out == ""
     assert f"--max-size {max_size} selects no instance" in err
     assert f"q = {smallest}" in err
+
+
+def test_verify_reports_only_rows_with_instances(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--max-size", "5")
+    assert code == 0
+    verdicts = [r for r in records(out) if r["record"] == "case-verdict"]
+    with_instances = [row.id for row in theorems.registry() if row.default_instances(5)]
+    assert 0 < len(with_instances) < len(theorems.registry())
+    assert [r["case"] for r in verdicts] == with_instances
+    assert all(r["instances"] > 0 for r in verdicts)
 
 
 def test_verify_unknown_case_is_usage_error(capsys):

@@ -5,7 +5,7 @@ import pytest
 
 from cdiff.field import Field, build_field, is_irreducible, is_prime
 
-from conftest import ref_add, ref_poly_mulmod, ref_eval_poly
+from conftest import ref_add, ref_poly_mulmod, ref_eval_poly, ref_is_irreducible
 
 
 # ---------------------------------------------------------------------------
@@ -80,8 +80,18 @@ def test_is_prime_and_irreducible_helpers():
     assert not is_irreducible([1, 0, 1], 2)          # (x+1)^2
     assert not is_irreducible([0, 1, 1], 2)          # x(x+1)
     assert is_irreducible([1, 0, 1, 0, 0, 1], 2)     # x^5 + x^2 + 1
-    # rootless but composite: (x^2+x+1)(x^3+x+1); needs the trial division
+    # rootless but composite: (x^2+x+1)(x^3+x+1), found at degree 2
     assert not is_irreducible([1, 0, 0, 0, 1, 1], 2)
+    # not monic: 2x^2 + 2 = 2(x^2 + 1) and 2x^2 + 2x = 2x(x + 1)
+    assert is_irreducible([2, 0, 2], 3) and not is_irreducible([0, 2, 2], 3)
+
+
+@pytest.mark.parametrize("p,max_n", [(2, 8), (3, 5), (5, 3), (7, 3)])
+def test_is_irreducible_matches_trial_division(p, max_n):
+    for n in range(1, max_n + 1):
+        for e in range(p**n):
+            coeffs = [e // p**i % p for i in range(n)] + [1]
+            assert is_irreducible(coeffs, p) == ref_is_irreducible(coeffs, p), coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -156,17 +166,20 @@ def test_exp_log_tables_match_schoolbook_walk(p, n, modulus):
     """exp[k+1] = exp[k] * g, walked with the reference mulmod, not the tables."""
     f = Field.build(p, n, modulus=modulus)
     mod, g = list(f.modulus), list(f.coeffs(f.generator))
-    assert f.exp.dtype == f.log.dtype == f.neg_table.dtype == np.int64
-    assert len(f.exp) == f.q - 1 and len(f.log) == len(f.neg_table) == f.q
-    assert not (f.exp.flags.writeable or f.log.flags.writeable
-                or f.neg_table.flags.writeable)
+    assert f.exp.dtype == f.log.dtype == np.int64
+    assert len(f.exp) == f.q - 1 and len(f.log) == f.q
+    assert not (f.exp.flags.writeable or f.log.flags.writeable)
     assert int(f.exp[0]) == 1 and int(f.log[0]) == 0
     for k in range(f.q - 1):
         nxt = ref_poly_mulmod(list(f.coeffs(f.exp[k])), g, mod, p)
         assert f.element(nxt) == int(f.exp[(k + 1) % (f.q - 1)])
         assert int(f.log[f.exp[k]]) == k
+    ys = f.elements()[::-1]
+    diff = f.sub_v(f.elements(), ys)
     for x in range(f.q):
-        assert ref_add(list(f.coeffs(x)), list(f.coeffs(f.neg_table[x])), p) == [0] * n
+        assert ref_add(list(f.coeffs(x)), list(f.coeffs(f.neg(x))), p) == [0] * n
+        assert ref_add(list(f.coeffs(diff[x])), list(f.coeffs(ys[x])), p) == \
+            list(f.coeffs(x))
     # the default generator is the least encoding of full order
     if modulus is None and f.q <= 64:
         assert _ref_order(g, mod, p) == f.q - 1

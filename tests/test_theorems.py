@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 
@@ -130,6 +131,15 @@ def test_verify_value_set_instance():
     report = verify_case(case, instances=[inst])
     assert report.passed
     assert report.results[0].observed == (2, 4, 5)
+
+
+def test_value_set_row_on_a_field_without_a_known_set():
+    # pn-minus-3 knows its c-sweep value sets for n = 2..6 only
+    row = dataclasses.replace(case_by_id("pn-minus-3"), fields=((3, 7),))
+    insts = row.default_instances(DEFAULT_SIZE_CAP)
+    assert all(inst.c is not None for inst in insts)
+    assert [inst.c_label for inst in insts[:2]] == ["c = -1", "c = 0"]
+    assert len(insts) == 2 + 3**7 - 3
 
 
 def test_verify_records_failures_without_raising():
