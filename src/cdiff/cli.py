@@ -42,18 +42,20 @@ def parse_element(field: Field, text: str) -> int:
     return field.g_pow(value) if power else field.from_int(value)
 
 
-_CSV_HEADER = "p,n,d,c,uniformity,classification,spectrum"
+def _print_csv(values) -> None:
+    """One CSV line; a value containing a comma is double-quoted."""
+    print(",".join(f'"{v}"' if "," in str(v) else str(v) for v in values))
 
 
 def _emit_reports(field: Field, d: int, reports: list[CDDTReport], csv: bool) -> None:
     """Uniformity reports as JSON-lines records, or as a CSV header and rows."""
     if csv:
-        print(_CSV_HEADER)
+        _print_csv(("p", "n", "d", "c", "uniformity", "classification", "spectrum"))
     for report in reports:
         if csv:
-            print(",".join([str(field.p), str(field.n), str(d), str(report.c),
-                            str(report.uniformity), report.classification,
-                            ";".join(f"{v}:{m}" for v, m in report.spectrum)]))
+            _print_csv((field.p, field.n, d, report.c, report.uniformity,
+                        report.classification,
+                        ";".join(f"{v}:{m}" for v, m in report.spectrum)))
         else:
             _print_record({"schema": SCHEMA, "record": "uniformity",
                            "p": field.p, "n": field.n, "d": d, "c": report.c,
@@ -146,11 +148,9 @@ def _cmd_table(args) -> int:
     if not rows:
         raise _no_instance_error(None, args.max_size)
     if args.csv:
-        header = ["case", "p", "n", "d", "condition", "predicted", "observed", "verdict"]
-        print(",".join(header))
+        _print_csv(theorems.TABLE_COLUMNS)
         for row in rows:
-            print(",".join(f'"{row[h]}"' if "," in str(row[h]) else str(row[h])
-                           for h in header))
+            _print_csv(row[h] for h in theorems.TABLE_COLUMNS)
     else:
         sys.stdout.write(markdown)
     return 1 if any(row["verdict"] != "pass" for row in rows) else 0
@@ -282,7 +282,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.fn(args)
     except (ValueError, KeyError, ZeroDivisionError) as exc:
-        print(f"cdiff: error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message, quotes included
+        message = exc.args[0] if isinstance(exc, KeyError) else exc
+        print(f"cdiff: error: {message}", file=sys.stderr)
         return 2
 
 

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from cdiff.field import Field
-from cdiff.funcs import FunctionSpec, PowerMap, value_table
+from cdiff.funcs import FunctionSpec, PowerMap, check_exponent, value_table
 
 
 def classification_of(uniformity: int) -> str:
@@ -75,17 +75,17 @@ def _report(c: int, hist: np.ndarray, mode: str) -> CDDTReport:
                       classification=classification_of(u), mode=mode)
 
 
-def _check_element(field: Field, name: str, value) -> None:
-    """ValueError naming the argument unless `value` encodes an element."""
+def _element(field: Field, name: str, value) -> int:
+    """`value` as an int; ValueError naming the argument unless it is an element."""
     if not field.is_element(value):
         raise ValueError(f"{name} = {value!r} is not an element of GF({field.q}): "
                          f"expected an int in [0, {field.q})")
+    return int(value)
 
 
 def ddt_row(field: Field, func: FunctionSpec, c: int, a: int) -> np.ndarray:
     """Counts over b of solutions x to F(x+a) - c F(x) = b, one pass over x."""
-    _check_element(field, "c", c)
-    _check_element(field, "a", a)
+    c, a = _element(field, "c", c), _element(field, "a", a)
     values = value_table(field, func)
     x = field.elements()
     deltas = field.sub_v(values[field.add_v(x, a)], field.mul_v(c, values))
@@ -94,7 +94,7 @@ def ddt_row(field: Field, func: FunctionSpec, c: int, a: int) -> np.ndarray:
 
 def delta_count(field: Field, func: FunctionSpec, c: int, a: int, b: int) -> int:
     """Exact number of solutions x of F(x+a) - c F(x) = b."""
-    _check_element(field, "b", b)
+    b = _element(field, "b", b)
     return int(ddt_row(field, func, c, a)[b])
 
 
@@ -119,7 +119,7 @@ def _packing(p: int, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 def general_uniformity(field: Field, func: FunctionSpec, c: int) -> CDDTReport:
     """Max count over all (a, b), excluding a = 0 exactly when c = 1."""
-    _check_element(field, "c", c)
+    c = _element(field, "c", c)
     q = field.q
     values = value_table(field, func)
     block = max(1, _SLAB_PAIRS // q)
@@ -225,9 +225,7 @@ def power_uniformity(field: Field, d: int, c: int,
     """Uniformity of x^d at c from the a = 1 row plus the a = 0 gcd term.
     `_ctx` is the context that `sweep` shares between its calls; without one,
     the call builds its own and shares nothing."""
-    if d < 1:
-        raise ValueError("power-map exponent must be >= 1")
-    _check_element(field, "c", c)
+    d, c = check_exponent(d), _element(field, "c", c)
     ctx = _ctx if _ctx is not None else _PowerContext(field, d)
     key = ctx.orbit_key(c)
     rep = ctx.reports.get(key)
@@ -239,18 +237,13 @@ def power_uniformity(field: Field, d: int, c: int,
 
 
 def uniformity(field: Field, func: FunctionSpec, c: int) -> CDDTReport:
-    """Fast path for power maps, general path for lookup tables."""
-    if isinstance(func, PowerMap):
-        return power_uniformity(field, func.d, c)
-    return general_uniformity(field, func, c)
+    """The one-c sweep: fast path for power maps, general path for tables."""
+    return sweep(field, func, [c])[0]
 
 
 def sweep(field: Field, func: FunctionSpec, c_values) -> list[CDDTReport]:
     """Independent reports for every c, in canonical element order."""
-    cs = list(c_values)
-    for c in cs:
-        _check_element(field, "c", c)
-    cs = sorted(int(c) for c in cs)
+    cs = sorted(_element(field, "c", c) for c in c_values)
     if not cs:
         raise ValueError("empty c-set")
     if isinstance(func, PowerMap):

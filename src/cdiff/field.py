@@ -178,12 +178,12 @@ class Field:
     # -- construction -------------------------------------------------------
 
     @staticmethod
-    def build(p: int, n: int, modulus: list[int] | None = None,
-              generator: list[int] | None = None) -> "Field":
-        """Build GF(p^n) with the deterministic modulus and generator, or with
-        a validated override.  The cheap checks on n and the size cap come
-        before the trial-division primality test on p; n is bounded before
-        p^n is computed, since any n past the cap's bit length is over it."""
+    def build(p: int, n: int, modulus: list[int] | None = None) -> "Field":
+        """Build GF(p^n) with the deterministic modulus, or a validated
+        override, and the least generator of full order.  The cheap checks on
+        n and the size cap come before the trial-division primality test on p;
+        n is bounded before p^n is computed, since any n past the cap's bit
+        length is over it."""
         if n < 1:
             raise ValueError(f"extension degree must be >= 1, got {n}")
         if p > 1 and (n >= DEFAULT_SIZE_CAP.bit_length() or p**n > DEFAULT_SIZE_CAP):
@@ -204,18 +204,11 @@ class Field:
                 raise ValueError("degree-1 modulus must be x")
 
         factors = prime_factors(q - 1) if q > 2 else []
-        if generator is None:  # least encoding of full order; 1 when q == 2
-            gen_digits = [1] + [0] * (n - 1)
-            for e in range(2, q):
-                if _multiplicative_order_is_full(_digits(e, p, n), modulus, p, q, factors):
-                    gen_digits = _digits(e, p, n)
-                    break
-        else:
-            gen_digits = [int(c) % p for c in generator]
-            if len(gen_digits) != n:
-                raise ValueError("generator must have n coefficients")
-            if q > 2 and not _multiplicative_order_is_full(gen_digits, modulus, p, q, factors):
-                raise ValueError("generator override does not have full order")
+        gen_digits = [1] + [0] * (n - 1)    # least encoding of full order; 1 when q == 2
+        for e in range(2, q):
+            if _multiplicative_order_is_full(_digits(e, p, n), modulus, p, q, factors):
+                gen_digits = _digits(e, p, n)
+                break
 
         # exp[k] = g^k by doubling: exp[B:2B] = exp[0:B]*h with h = g^B, a
         # product mod p when n = 1.  For n > 1, x -> x*h is GF(p)-linear, so
@@ -238,7 +231,7 @@ class Field:
             exp = np.concatenate([exp, image])
             h = _poly_mulmod(h, h, modulus, p)
         if _poly_mulmod(gen_digits, _digits(int(exp[-1]), p, n), modulus, p) != _digits(1, p, n):
-            raise ValueError("generator order is not q-1")  # defensive; validated above
+            raise ValueError("generator order is not q-1")  # defensive; found above
         log = np.zeros(q, dtype=np.int64)
         log[exp] = np.arange(q - 1, dtype=np.int64)
         for table in (exp, log):
@@ -371,10 +364,14 @@ class Field:
 
     @staticmethod
     def from_json(text: str) -> "Field":
+        """Inverse of `to_json`; a ValueError if it names another generator."""
         obj = json.loads(text)
-        return Field.build(int(obj["p"]), int(obj["n"]),
-                           modulus=obj.get("modulus"),
-                           generator=obj.get("generator"))
+        f = Field.build(int(obj["p"]), int(obj["n"]), modulus=obj.get("modulus"))
+        generator, built = obj.get("generator"), list(f.coeffs(f.generator))
+        if generator is not None and generator != built:
+            raise ValueError(f"generator {generator} differs from {built}, "
+                             f"the generator GF({f.p}^{f.n}) is built with")
+        return f
 
 
 _FIELD_CACHE: dict[tuple, Field] = {}

@@ -13,14 +13,20 @@ import numpy as np
 from cdiff.field import Field
 
 
+def check_exponent(d) -> int:
+    """d as a plain int; ValueError naming d unless it is an int >= 1."""
+    if not isinstance(d, (int, np.integer)) or d < 1:
+        raise ValueError(f"power-map exponent must be >= 1, got d = {d!r}")
+    return int(d)
+
+
 @dataclass(frozen=True)
 class PowerMap:
     """F(x) = x^d with d >= 1."""
     d: int
 
     def __post_init__(self):
-        if self.d < 1:
-            raise ValueError("power-map exponent must be >= 1")
+        check_exponent(self.d)
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,8 @@ checked against the exhaustive counting engine.
 
 Each row is declared once (`Row`): its exponent family, its ordered branches
 of c-conditions with labels and predictions, and the fields of its default
-grid.  The row is the case: its applicability predicate, its prediction and
-its grid are methods derived from that declaration.
+grid.  The row is the case: its prediction (None where the claim does not
+apply) and its grid are methods derived from that declaration.
 
 Exact rows sweep every c satisfying their condition (a single c could mask a
 counterexample at these field sizes).  Upper-bound rows additionally record
@@ -139,9 +139,6 @@ class Row:
             if _fexp(field.q, e) == d:
                 return next((b for b in self.branches if b.accepts(field, k, c)), None), k
         return None, None
-
-    def applies(self, field: Field, d: int, c: int) -> bool:
-        return self._branch_at(field, d, c)[0] is not None
 
     def predict(self, field: Field, d: int, c: int) -> Prediction | None:
         branch, k = self._branch_at(field, d, c)
@@ -407,8 +404,8 @@ def case_by_id(case_id: str) -> Row:
 
 
 def applicable_cases(field: Field, d: int, c: int) -> list[Row]:
-    """All registry rows whose predicate holds literally at (field, d, c)."""
-    return [case for case in _ROWS if case.applies(field, d, c)]
+    """All registry rows that make a prediction at (field, d, c)."""
+    return [case for case in _ROWS if case.predict(field, d, c) is not None]
 
 
 # ---------------------------------------------------------------------------
@@ -463,6 +460,9 @@ def verify_all(case_ids: list[str] | None = None,
 # Table artifact
 # ---------------------------------------------------------------------------
 
+TABLE_COLUMNS = ("case", "p", "n", "d", "condition", "predicted", "observed", "verdict")
+
+
 def _summarize(report: VerificationReport) -> list[dict]:
     """One row per (field, d, condition) group of a case's results."""
     groups: dict[tuple, list[InstanceResult]] = {}
@@ -492,9 +492,8 @@ def reproduce_table(max_size: int = DEFAULT_SIZE_CAP) -> tuple[str, list[dict]]:
     rows = []
     for report in verify_all(max_size=max_size):
         rows.extend(_summarize(report))
-    header = ["case", "p", "n", "d", "condition", "predicted", "observed", "verdict"]
-    lines = ["| " + " | ".join(header) + " |",
-             "|" + "|".join(["---"] * len(header)) + "|"]
+    lines = ["| " + " | ".join(TABLE_COLUMNS) + " |",
+             "|" + "|".join(["---"] * len(TABLE_COLUMNS)) + "|"]
     for row in rows:
-        lines.append("| " + " | ".join(str(row[h]) for h in header) + " |")
+        lines.append("| " + " | ".join(str(row[h]) for h in TABLE_COLUMNS) + " |")
     return "\n".join(lines) + "\n", rows

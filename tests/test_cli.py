@@ -1,3 +1,4 @@
+import hashlib
 import json
 import pathlib
 import re
@@ -155,8 +156,9 @@ def test_verify_reports_only_rows_with_instances(capsys):
 
 
 def test_verify_unknown_case_is_usage_error(capsys):
-    code, _, err = run_cli(capsys, "verify", "--case", "nope")
-    assert code == 2 and "nope" in err
+    code, out, err = run_cli(capsys, "verify", "--case", "nope")
+    assert code == 2 and out == ""
+    assert err == "cdiff: error: unknown case id 'nope'\n"
 
 
 def test_verify_reports_failure_with_exit_1(capsys, monkeypatch):
@@ -295,6 +297,18 @@ def test_table_csv_headers(capsys):
     code, out, _ = run_cli(capsys, "table", "--max-size", "50", "--csv")
     assert code == 0
     assert out.splitlines()[0] == "case,p,n,d,condition,predicted,observed,verdict"
+
+
+@pytest.mark.parametrize("argv,digest", [
+    (("table", "--max-size", "250", "--csv"),
+     "eadb880c8d6066ab957430038e539cba7252008a7a73e290c66a975e02c344d2"),
+    (("sweep", "-p", "3", "-n", "3", "-d", "24", "--c-set", "not-pm-one", "--csv"),
+     "d6fc384ea191beccbf9d38fd407b9b2e51b5485c52951866bae6e3575ab158e3"),
+])
+def test_csv_output_is_pinned(capsys, argv, digest):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_installed_entry_point_runs():

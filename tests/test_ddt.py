@@ -169,6 +169,17 @@ def test_spectrum_is_frobenius_invariant_in_c(instance):
 
 
 @settings(derandomize=True, deadline=None)
+@given(_power_instances().filter(lambda instance: instance[2] != 0))
+def test_spectrum_at_c_equals_spectrum_at_inverse_c(instance):
+    # with y = x + a, F(x+a) - c F(x) = b is F(y-a) - (1/c) F(y) = -b/c, so
+    # (c, a, b) -> (1/c, -a, -b/c) keeps every count and the a = 0 row; for
+    # x^d the a = -1 row is a relabeling of the a = 1 row
+    f, d, c = instance
+    assert (power_uniformity(f, d, f.inv(c)).spectrum
+            == power_uniformity(f, d, c).spectrum)
+
+
+@settings(derandomize=True, deadline=None)
 @given(_power_instances())
 def test_spectrum_is_invariant_under_d_times_p(instance):
     # x^(dp) = (x^d)^p composes x^d with the Frobenius automorphism
@@ -184,6 +195,21 @@ def test_power_equals_general_sampled_above(p, n, pairs, rng):
         d = rng.randrange(1, f.q)
         c = rng.randrange(f.q)
         _assert_routes_agree(f, d, c, as_lookup(f, PowerMap(d)))
+
+
+@pytest.mark.parametrize("p,n", [(2, 17), (3, 11)])
+def test_power_route_against_digit_add_rows_above_hypothesis_range(p, n, rng):
+    # one digit-add `ddt_row` at some a != 0 plus the analytic a = 0 row is a
+    # Theta(q) oracle: it shares neither the Zech table nor the orbit cache
+    f = build_field(p, n)
+    for _ in range(3):
+        d, c, a = rng.randrange(1, 2 * f.q), rng.randrange(f.q), rng.randrange(1, f.q)
+        hist = np.bincount(ddt_row(f, PowerMap(d), c, a), minlength=f.q + 1)
+        for v, m in _a0_row_spectrum(f.q, d, c).items():
+            hist[v] += m
+        values = np.flatnonzero(hist)
+        assert (tuple(zip(values.tolist(), hist[values].tolist()))
+                == power_uniformity(f, d, c).spectrum), (p, n, d, c, a)
 
 
 def _rowwise_spectrum(f, func, c):
@@ -211,6 +237,8 @@ def test_general_route_on_random_lookup_tables(p, n, rng):
         for c in sorted({0, 1, f.generator, rng.randrange(f.q)}):
             rep = general_uniformity(f, func, c)
             assert rep.spectrum == _rowwise_spectrum(f, func, c), (p, n, c)
+            if c != 0:      # (c, a, b) -> (1/c, -a, -b/c) keeps every count
+                assert general_uniformity(f, func, f.inv(c)).spectrum == rep.spectrum
             if f.q <= 27:
                 assert rep.uniformity == brute_uniformity(f, table.__getitem__, c)
 
@@ -328,15 +356,17 @@ def test_c_set_rejects_bad_subfield_degree(name):
         c_set(f, name)
 
 
-@pytest.mark.parametrize("d", [0, -3])
+@pytest.mark.parametrize("d", [0, -3, 2.0, 2.5, "3"])
 def test_power_uniformity_rejects_exponent_below_one(d):
     f = build_field(2, 3)
-    with pytest.raises(ValueError, match="power-map exponent must be >= 1"):
+    message = re.escape(f"power-map exponent must be >= 1, got d = {d!r}")
+    with pytest.raises(ValueError, match=message):
         power_uniformity(f, d, 0)
+    with pytest.raises(ValueError, match=message):
+        PowerMap(d)
 
 
-@pytest.mark.parametrize("c", [-1, 9, 2**70, 1.5, "3"])
-@pytest.mark.parametrize("route", [
+_C_ROUTES = [
     lambda f, c: power_uniformity(f, 3, c),
     lambda f, c: general_uniformity(f, PowerMap(3), c),
     lambda f, c: uniformity(f, PowerMap(3), c),
@@ -344,12 +374,31 @@ def test_power_uniformity_rejects_exponent_below_one(d):
     lambda f, c: sweep(f, PowerMap(3), [0, c]),
     lambda f, c: sweep(f, as_lookup(f, PowerMap(3)), [0, c]),
     lambda f, c: ddt_row(f, PowerMap(3), c, 1),
-])
+]
+
+
+@pytest.mark.parametrize("c", [-1, 9, 2**70, 1.5, "3"])
+@pytest.mark.parametrize("route", _C_ROUTES)
 def test_every_route_rejects_c_outside_the_field(route, c):
     # c = -1 used to be counted as the element 8 and reported as c = -1
     f = build_field(3, 2)
     with pytest.raises(ValueError, match=re.escape(f"c = {c!r} is not an element of GF(9)")):
         route(f, c)
+
+
+@pytest.mark.parametrize("c", [True, np.int64(2)])
+@pytest.mark.parametrize("route", _C_ROUTES)
+def test_every_route_counts_an_integer_c_as_the_plain_int(route, c):
+    # True and np.int64 used to fail in the table lookups or leak into
+    # report.c, which json.dumps rejects
+    f = build_field(3, 2)
+    got, want = route(f, c), route(f, int(c))
+    if isinstance(want, np.ndarray):
+        assert np.array_equal(got, want)
+        return
+    assert got == want
+    for report in got if isinstance(got, list) else [got]:
+        assert type(report.c) is int
 
 
 @pytest.mark.parametrize("a,b", [(-1, 0), (9, 0), (0, -1), (0, 9), (1.5, 0)])

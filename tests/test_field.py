@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -190,8 +191,10 @@ def test_exp_log_tables_match_schoolbook_walk(p, n, modulus):
 @pytest.mark.parametrize("p,n,generator", [(3, 2, [2, 0]), (5, 2, [2, 1]),
                                            (2, 4, [0, 0, 0, 1]), (7, 1, [2])])
 def test_generator_override_without_full_order_rejected(p, n, generator):
-    with pytest.raises(ValueError, match="full order"):
-        Field.build(p, n, generator=generator)
+    # a field is built with its least generator of full order, so a JSON
+    # description naming another generator is refused
+    with pytest.raises(ValueError, match=re.escape(f"generator {generator}")):
+        Field.from_json(json.dumps({"p": p, "n": n, "generator": generator}))
 
 
 @pytest.mark.parametrize("p,n", [(3, 2), (5, 2), (2, 4), (7, 1)])

@@ -3,6 +3,7 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from cdiff.field import build_field, is_prime, DEFAULT_SIZE_CAP
 from cdiff.ddt import power_uniformity
@@ -225,5 +226,31 @@ def test_default_grids_agree_with_the_predicate():
                 groups.setdefault((inst.p, inst.n, inst.d), {})[inst.c] = inst.predicted
         for (p, n, d), predicted in groups.items():
             f = build_field(p, n)
-            assert set(predicted) == {c for c in range(f.q) if case.applies(f, d, c)}
+            assert set(predicted) == {c for c in range(f.q)
+                                      if case.predict(f, d, c) is not None}
             assert all(case.predict(f, d, c) == pred for c, pred in predicted.items())
+
+
+# Every field with 4 < q <= 1000; a row's grid holds only some of them.
+_SMALL_FIELDS = [(p, n) for p in range(2, 1001) if is_prime(p)
+                 for n in range(1, 10) if 4 < p**n <= 1000]
+
+
+@st.composite
+def _off_grid_checks(draw):
+    """A row and a field outside its grid on which its family is not empty."""
+    row = draw(st.sampled_from(registry()))
+    grid = {(p, n) for p, n, *_ in row.fields}
+    fields = [(p, n) for p, n in _SMALL_FIELDS
+              if (p, n) not in grid and row.family(build_field(p, n))]
+    assume(fields)
+    return row, draw(st.sampled_from(fields))
+
+
+@settings(derandomize=True, deadline=None, max_examples=250)
+@given(_off_grid_checks())
+def test_claims_hold_off_their_grids(check):
+    # the claims are stated for every field; a failure here is a finding
+    # about the claim or its declared condition, not a reason to narrow it
+    row, (p, n) = check
+    assert verify_case(dataclasses.replace(row, fields=((p, n),))).passed, (row.id, p, n)
