@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from json.encoder import encode_basestring_ascii as _json_str
 
 from cdiff.field import Field, build_field, DEFAULT_SIZE_CAP
 from cdiff.funcs import PowerMap
@@ -107,14 +108,22 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _instance_record(case_id: str, result) -> dict:
-    inst = result.instance
-    observed = list(result.observed) if isinstance(result.observed, tuple) \
-        else result.observed
-    return {"schema": SCHEMA, "record": "instance", "case": case_id,
-            "p": inst.p, "n": inst.n, "d": inst.d, "k": inst.k, "c": inst.c,
-            "condition": inst.c_label, "predicted": inst.predicted.render(),
-            "observed": observed, "ok": result.ok}
+def _json_int(value: int | None) -> str:
+    return "null" if value is None else str(value)
+
+
+def _instance_line(case_json: str, result) -> str:
+    """An instance record, byte-identical to `_print_record` of its dict:
+    keys in sorted order, strings through json's ASCII encoder."""
+    inst, observed = result.instance, result.observed
+    if isinstance(observed, tuple):
+        observed = "[" + ",".join(map(str, observed)) + "]"
+    return (f'{{"c":{_json_int(inst.c)},"case":{case_json},'
+            f'"condition":{_json_str(inst.c_label)},"d":{inst.d},'
+            f'"k":{_json_int(inst.k)},"n":{inst.n},"observed":{observed},'
+            f'"ok":{"true" if result.ok else "false"},"p":{inst.p},'
+            f'"predicted":{_json_str(inst.predicted.render())},'
+            f'"record":"instance","schema":"{SCHEMA}"}}\n')
 
 
 def _no_instance_error(case_ids: list[str] | None, max_size: int) -> ValueError:
@@ -133,8 +142,8 @@ def _cmd_verify(args) -> int:
         raise _no_instance_error(ids, args.max_size)
     failed = False
     for report in reports:
-        for result in report.results:
-            _print_record(_instance_record(report.case_id, result))
+        case_json = _json_str(report.case_id)
+        sys.stdout.write("".join(_instance_line(case_json, r) for r in report.results))
         _print_record({"schema": SCHEMA, "record": "case-verdict",
                        "case": report.case_id, "passed": report.passed,
                        "instances": len(report.results),

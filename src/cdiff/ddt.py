@@ -24,10 +24,20 @@ logarithm Z[k] = log(1 + g^k), each x = g^k gives the log of
 bincount over those logs is a relabeling of the row over b, so its histogram
 of counts is unchanged.
 
-A `sweep` builds the Zech table and the per-d logs once and shares them
-between its calls.  Since x^d commutes with the Frobenius x -> x^p, c and
-c^p have the same spectrum: a sweep counts each Frobenius orbit of c once
-and copies that report, with c replaced, to the orbit's other members.
+The Zech table needs only x + 1, which changes the constant digit alone.
+
+Reports are counted once per orbit of c.  Since x^d commutes with the
+Frobenius x -> x^p, c and c^p have the same spectrum.  For any F and c != 0,
+(c, a, b) -> (1/c, -a, -b/c) carries the solutions of F(x+a) - c F(x) = b
+to those of F(y-a) - F(y)/c = -b/c, and for x^d the a = -1 row is a
+relabeling of the a = 1 row, so c and 1/c have the same spectrum too.  A
+`_PowerContext` holds one report per orbit for one (field, d): `count` takes
+a whole c-set, keys each c by the least of +-log(c) p^i mod q-1, and counts
+the orbits it has not seen in slabs of about 2^16 / q c-rows, each slab one
+gather and two offset bincounts.  Every other member of an orbit gets a copy
+of its report with c replaced.  A context lives for one `sweep`, or, in
+`theorems.verify_all`, for the run of rows whose grids share its
+(p, n, d).
 """
 
 from __future__ import annotations
@@ -98,8 +108,8 @@ def delta_count(field: Field, func: FunctionSpec, c: int, a: int, b: int) -> int
     return int(ddt_row(field, func, c, a)[b])
 
 
-# (a, x) pairs per slab of the general scan: small enough that a slab and
-# its temporaries stay in cache
+# (a, x) pairs per slab of the general scan, and (c, x) pairs per slab of
+# power-route rows: small enough that a slab and its temporaries stay in cache
 _SLAB_PAIRS = 2**16
 
 
@@ -167,70 +177,136 @@ def general_uniformity(field: Field, func: FunctionSpec, c: int) -> CDDTReport:
     return _report(c, hist, "full")
 
 
-def _image_hist(q: int, d: int) -> np.ndarray:
-    """Histogram of the preimage counts of x^d over GF(q): one solution at
-    b = 0 and g = gcd(d, q-1) at each of the (q-1)/g nonzero d-th powers."""
+def _image_counts(q: int, d: int) -> tuple[tuple[int, int], ...]:
+    """Preimage counts of x^d over GF(q), as (count, number of b): one
+    solution at b = 0 and g = gcd(d, q-1) at each of the (q-1)/g nonzero
+    d-th powers."""
     g = math.gcd(d, q - 1)
-    hist = np.zeros(q + 1, dtype=np.int64)
-    hist[1] += 1
-    hist[g] += (q - 1) // g
-    hist[0] += (q - 1) - (q - 1) // g
-    return hist
+    return (1, 1), (g, (q - 1) // g), (0, (q - 1) - (q - 1) // g)
+
+
+def _plus_one(p: int, e: np.ndarray) -> np.ndarray:
+    """Encodings of e + 1: adding 1 changes only the constant digit."""
+    if p == 2:
+        return e ^ 1
+    out = e + 1
+    out %= p
+    out += e
+    out -= e % p
+    return out
+
+
+def _orbit_keys(field: Field, cs: np.ndarray) -> np.ndarray:
+    """Least of +-log(c) p^i mod q-1 over i < n: one key per orbit of c under
+    c -> c^p and c -> 1/c; -1 for c = 0."""
+    m = field.q - 1
+    t = field.log[cs]
+    keys = np.minimum(t, -t % m)
+    for _ in range(field.n - 1):
+        t = t * field.p % m
+        np.minimum(keys, t, out=keys)
+        np.minimum(keys, -t % m, out=keys)
+    keys[cs == 0] = -1
+    return keys
+
+
+def _log_terms(field: Field, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Zech table Z[k] = log(1 + g^k), -1 where 1 + g^k = 0, and over the
+    x = g^k with x + 1 != 0 the logs ls = d Z[k] and D = d k - ls mod q-1."""
+    m = field.q - 1
+    plus_one = _plus_one(field.p, field.exp)
+    zech = field.log[plus_one]
+    zech[plus_one == 0] = -1
+    del plus_one
+    k = np.flatnonzero(zech >= 0)
+    ls = zech[k]
+    ls *= d % m
+    ls %= m
+    diff = k * (d % m)
+    diff -= ls
+    diff %= m
+    return zech, ls, diff
 
 
 class _PowerContext:
-    """Log-domain state of x^d over one field, shared by one sweep's calls.
+    """Reports of x^d over one field, shared by the sweeps of one (field, d).
 
-    For x = g^k outside {0, -1}, (x+1)^d - c x^d = g^ls (1 + g^(D + log(-c)))
-    with ls = d Z[k] and D = d k - ls.  `reports` holds one report per
-    Frobenius orbit of c, keyed by the least log in the orbit.
+    `reports` holds one report per orbit of c, keyed by `_orbit_keys`, and
+    `key_of` maps each c counted so far to its orbit's key.  For x = g^k
+    outside {0, -1}, (x+1)^d - c x^d = g^ls (1 + g^(D + log(-c))) with the
+    `_log_terms` ls and D; those arrays live only while `count` runs.
     """
 
     def __init__(self, field: Field, d: int):
-        self.field, self.d = field, d
-        m = field.q - 1
-        total = field.add_v(field.exp, 1)
-        self.zech = np.where(total == 0, -1, field.log[total])
-        k = np.flatnonzero(self.zech >= 0)      # x = g^k with x + 1 != 0
-        self.ls = d % m * self.zech[k] % m
-        self.diff = (d % m * k - self.ls) % m
-        self.log_minus_one = int(field.log[field.neg(1)])
+        self.field, self.d = field, int(d)
         self.reports: dict[int, CDDTReport] = {}
+        self.key_of: dict[int, int] = {}
 
-    def orbit_key(self, c: int) -> int:
-        """Least log over c, c^p, c^(p^2), ...; -1 for c = 0."""
-        f = self.field
-        k = int(f.log[c])
-        return -1 if c == 0 else min(k * f.p**i % (f.q - 1) for i in range(f.n))
-
-    def hist(self, c: int) -> np.ndarray:
-        """Histogram of the a = 1 row's counts, plus the a = 0 row if c != 1."""
-        q, m, d = self.field.q, self.field.q - 1, self.d
-        if c == 0:          # (x+1)^d = b: the row counts preimages of x^d
-            hist = _image_hist(q, d)
-        else:               # bins: log b for b != 0, m for b = 0
-            log_neg_c = (int(self.field.log[c]) + self.log_minus_one) % m
-            z = self.zech[(self.diff + log_neg_c) % m]
-            row = np.bincount(np.where(z < 0, m, (self.ls + z) % m), minlength=q)
-            row[0] += 1                                   # x = 0: b = 1
-            row[(log_neg_c + d * self.log_minus_one) % m] += 1  # x = -1: b = -c (-1)^d
-            hist = np.bincount(row, minlength=q + 1)
-        if c != 1:          # a = 0 row: (1-c) x^d = b
-            hist += _image_hist(q, d)
-        return hist
+    def count(self, cs) -> None:
+        """Count the a = 1 row, plus the a = 0 row if c != 1, once for each
+        orbit of `cs` that has no report yet."""
+        f, d = self.field, self.d
+        q, m = f.q, f.q - 1
+        new = [c for c in dict.fromkeys(cs) if c not in self.key_of]
+        if not new:
+            return
+        keys = _orbit_keys(f, np.array(new, dtype=np.int64)).tolist()
+        self.key_of.update(zip(new, keys))
+        todo = {}                           # orbit key -> its first c
+        for c, key in zip(new, keys):
+            if key not in self.reports:
+                todo.setdefault(key, c)
+        if -1 in todo:      # c = 0: (x+1)^d = b and the a = 0 row count preimages
+            del todo[-1]
+            hist = np.zeros(q + 1, dtype=np.int64)
+            for v, number in _image_counts(q, d):
+                hist[v] += 2 * number
+            self.reports[-1] = _report(0, hist, "power-reduced")
+        if not todo:
+            return
+        zech, ls, diff = _log_terms(f, d)
+        order, reps = list(todo), np.array(list(todo.values()), dtype=np.int64)
+        log_minus_one = int(f.log[f.p - 1])                 # -1 is the integer p - 1
+        log_neg_c = (f.log[reps] + log_minus_one) % m
+        log_at_minus_one = (log_neg_c + d * log_minus_one % m) % m  # x = -1: b = -c (-1)^d
+        # slabs of c-rows, each of q bins: log b for b != 0, m for b = 0
+        block = max(1, _SLAB_PAIRS // q)
+        for lo in range(0, len(reps), block):
+            c, lnc = reps[lo:lo + block], log_neg_c[lo:lo + block, None]
+            r = len(c)
+            z = diff + lnc
+            z %= m
+            z = zech[z]
+            zero = z < 0
+            z += ls
+            z %= m
+            z[zero] = m
+            del zero
+            z += np.arange(0, r * q, q)[:, None]
+            rows = np.bincount(z.ravel(), minlength=r * q).reshape(r, q)
+            del z
+            rows[:, 0] += 1                                 # x = 0: b = 1
+            rows[np.arange(r), log_at_minus_one[lo:lo + block]] += 1
+            rows += np.arange(0, r * (q + 1), q + 1)[:, None]
+            hists = np.bincount(rows.ravel(), minlength=r * (q + 1)).reshape(r, q + 1)
+            del rows
+            for v, number in _image_counts(q, d):           # a = 0 row: (1-c) x^d = b
+                hists[c != 1, v] += number
+            for key, rep, hist in zip(order[lo:lo + block], c.tolist(), hists):
+                self.reports[key] = _report(rep, hist, "power-reduced")
 
 
 def power_uniformity(field: Field, d: int, c: int,
                      _ctx: _PowerContext | None = None) -> CDDTReport:
     """Uniformity of x^d at c from the a = 1 row plus the a = 0 gcd term.
-    `_ctx` is the context that `sweep` shares between its calls; without one,
-    the call builds its own and shares nothing."""
+    `_ctx` is the context that `sweep` shares between its calls and has
+    already counted c in; without one, the call builds its own and shares
+    nothing."""
     d, c = check_exponent(d), _element(field, "c", c)
     ctx = _ctx if _ctx is not None else _PowerContext(field, d)
-    key = ctx.orbit_key(c)
-    rep = ctx.reports.get(key)
-    if rep is None:
-        rep = ctx.reports[key] = _report(c, ctx.hist(c), "power-reduced")
+    if c not in ctx.key_of:
+        ctx.count([c])
+    rep = ctx.reports[ctx.key_of[c]]
     if rep.c != c:
         rep = CDDTReport(c, rep.uniformity, rep.spectrum, rep.classification, rep.mode)
     return rep
@@ -241,13 +317,20 @@ def uniformity(field: Field, func: FunctionSpec, c: int) -> CDDTReport:
     return sweep(field, func, [c])[0]
 
 
-def sweep(field: Field, func: FunctionSpec, c_values) -> list[CDDTReport]:
-    """Independent reports for every c, in canonical element order."""
+def sweep(field: Field, func: FunctionSpec, c_values,
+          _contexts: dict | None = None) -> list[CDDTReport]:
+    """Independent reports for every c, in canonical element order.
+    `_contexts` maps (p, n, d) to the power context to count in, so that the
+    sweeps of `theorems.verify_all` that share a field and exponent count
+    each orbit once."""
     cs = sorted(_element(field, "c", c) for c in c_values)
     if not cs:
         raise ValueError("empty c-set")
     if isinstance(func, PowerMap):
         ctx = _PowerContext(field, func.d)
+        if _contexts is not None:
+            ctx = _contexts.setdefault((field.p, field.n, func.d), ctx)
+        ctx.count(cs)
         return [power_uniformity(field, func.d, c, _ctx=ctx) for c in cs]
     return [general_uniformity(field, func, c) for c in cs]
 

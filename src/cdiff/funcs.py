@@ -50,12 +50,14 @@ def value_table(field: Field, func: FunctionSpec) -> np.ndarray:
         return field.pow_all(func.d)
     if len(func.table) != field.q:
         raise ValueError(f"lookup table has {len(func.table)} entries, field has {field.q}")
-    bad = [i for i, v in enumerate(func.table) if not field.is_element(v)]
-    if bad:
-        i = bad[0]
-        raise ValueError(f"lookup table entry {i} is {func.table[i]!r}, "
-                         f"not an int in [0, {field.q})")
-    return np.asarray(func.table, dtype=np.int64)
+    values = np.asarray(func.table)
+    if values.dtype.kind not in "iu" or not ((values >= 0) & (values < field.q)).all():
+        # name the first entry that is not an element (a table of bools has none)
+        for i, v in enumerate(func.table):
+            if not field.is_element(v):
+                raise ValueError(f"lookup table entry {i} is {v!r}, "
+                                 f"not an int in [0, {field.q})")
+    return values.astype(np.int64)
 
 
 def as_lookup(field: Field, func: PowerMap) -> LookupTable:

@@ -144,22 +144,26 @@ class Row:
         branch, k = self._branch_at(field, d, c)
         return None if branch is None else _at(branch.predicted, field, k)
 
-    def default_instances(self, max_size: int) -> list[Instance]:
-        out = []
+    def exponents(self, max_size: int):
+        """(field, d, k) for each exponent of the default grid, in grid order."""
         for p, n, *pinned_k in self.fields:
             if p**n > max_size:
                 continue
             f = build_field(p, n)
             for d, k in self.family(f):
-                if pinned_k and k != pinned_k[0]:
-                    continue
-                for branch in self.branches:
-                    label, predicted = _at(branch.label, f, k), _at(branch.predicted, f, k)
-                    cs = tuple(c for c in range(f.q) if branch.accepts(f, k, c))
-                    out.extend(Instance(p, n, d, k, c, label, predicted) for c in cs)
-                if (values := self.sweep(f)) is not None:
-                    out.append(Instance(p, n, d, k, None, f"sweep {label}",
-                                        ValueSet(values), c_values=cs))
+                if not pinned_k or k == pinned_k[0]:
+                    yield f, d, k
+
+    def default_instances(self, max_size: int) -> list[Instance]:
+        out = []
+        for f, d, k in self.exponents(max_size):
+            for branch in self.branches:
+                label, predicted = _at(branch.label, f, k), _at(branch.predicted, f, k)
+                cs = tuple(c for c in range(f.q) if branch.accepts(f, k, c))
+                out.extend(Instance(f.p, f.n, d, k, c, label, predicted) for c in cs)
+            if (values := self.sweep(f)) is not None:
+                out.append(Instance(f.p, f.n, d, k, None, f"sweep {label}",
+                                    ValueSet(values), c_values=cs))
         return out
 
 
@@ -412,13 +416,13 @@ def applicable_cases(field: Field, d: int, c: int) -> list[Row]:
 # Verification engine
 # ---------------------------------------------------------------------------
 
-def _evaluate_group(key, instances):
+def _evaluate_group(key, instances, contexts):
     """One `sweep` over every c the group's instances ask for, repeats kept."""
     p, n, d = key
     cs = [c for inst in instances
           for c in ((inst.c,) if inst.c is not None else inst.c_values)]
     observed_at = {r.c: r.uniformity
-                   for r in sweep(build_field(p, n), PowerMap(d), cs)}
+                   for r in sweep(build_field(p, n), PowerMap(d), cs, _contexts=contexts)}
     out = []
     for inst in instances:
         if inst.c is not None:
@@ -431,16 +435,18 @@ def _evaluate_group(key, instances):
 
 
 def verify_case(case: Row, instances: list[Instance] | None = None,
-                max_size: int = DEFAULT_SIZE_CAP) -> VerificationReport:
+                max_size: int = DEFAULT_SIZE_CAP,
+                _contexts: dict | None = None) -> VerificationReport:
     """Check every instance of a case; reports (never raises) on prediction
-    failure."""
+    failure.  `_contexts` holds the power contexts that `verify_all` shares
+    between rows, keyed by (p, n, d)."""
     if instances is None:
         instances = case.default_instances(max_size)
     groups: dict[tuple, list[Instance]] = {}
     for inst in instances:
         groups.setdefault((inst.p, inst.n, inst.d), []).append(inst)
     results = tuple(r for key in sorted(groups)
-                    for r in _evaluate_group(key, groups[key]))
+                    for r in _evaluate_group(key, groups[key], _contexts))
     bad = tuple(r for r in results if not r.ok)
     ub_observed = [r.observed for r in results
                    if isinstance(r.instance.predicted, UpperBound)]
@@ -451,9 +457,18 @@ def verify_case(case: Row, instances: list[Instance] | None = None,
 
 def verify_all(case_ids: list[str] | None = None,
                max_size: int = DEFAULT_SIZE_CAP) -> list[VerificationReport]:
-    """Verify the named cases, or the whole registry."""
+    """Verify the named cases, or the whole registry.  Rows that share a
+    (p, n, d) share its power context, so each orbit of c is counted once;
+    a context is dropped after the last row whose grid has its key."""
     cases = ([case_by_id(cid) for cid in case_ids] if case_ids else registry())
-    return [verify_case(case, max_size=max_size) for case in cases]
+    last_row = {(f.p, f.n, d): i for i, case in enumerate(cases)
+                for f, d, _ in case.exponents(max_size)}
+    contexts: dict = {}
+    reports = []
+    for i, case in enumerate(cases):
+        reports.append(verify_case(case, max_size=max_size, _contexts=contexts))
+        contexts = {key: ctx for key, ctx in contexts.items() if last_row[key] > i}
+    return reports
 
 
 # ---------------------------------------------------------------------------

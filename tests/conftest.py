@@ -6,6 +6,16 @@ import random
 import pytest
 
 
+# (p, n, modulus) of the fields whose tables are checked against the oracles;
+# modulus None is the deterministic one
+ORACLE_FIELDS = ([(2, 1, None), (3, 1, None), (7, 1, None), (13, 1, None)]
+                 + [(2, n, None) for n in range(3, 11)]
+                 + [(3, n, None) for n in range(2, 7)]
+                 + [(5, 2, None), (13, 2, None),
+                    (3, 2, [2, 2, 1]), (2, 4, [1, 0, 0, 1, 1])]
+                 + [(257, 1, None), (65537, 1, None)])
+
+
 def ref_poly_mulmod(a_coeffs, b_coeffs, modulus, p):
     """Schoolbook (a*b) mod modulus over Z_p, coefficient lists, c0 first."""
     n = len(modulus) - 1

@@ -161,17 +161,45 @@ def test_verify_unknown_case_is_usage_error(capsys):
     assert err == "cdiff: error: unknown case id 'nope'\n"
 
 
-def test_verify_reports_failure_with_exit_1(capsys, monkeypatch):
-    from cdiff import theorems
-
+def _install_failing_row(monkeypatch):
+    """Make the registry one row whose claim fails; its id and label need
+    escaping in JSON."""
     fake = theorems.Row(
-        "fake", "always wrong", ((3, 2),), lambda f: [(2, None)],
-        (theorems.Branch("c = 0", lambda f, k, c: c == 0, theorems.Exact(99)),))
+        'fake "row" \u00e9', "always wrong", ((3, 2),), lambda f: [(2, None)],
+        (theorems.Branch("c = 0 \u2260 \\", lambda f, k, c: c == 0, theorems.Exact(99)),))
     monkeypatch.setattr(theorems, "_ROWS", (fake,))
+
+
+def test_verify_reports_failure_with_exit_1(capsys, monkeypatch):
+    _install_failing_row(monkeypatch)
     code, out, _ = run_cli(capsys, "verify")
     assert code == 1
     recs = records(out)
     assert recs[-1]["passed"] is False
+
+
+def test_verify_output_is_pinned(capsys):
+    code, out, _ = run_cli(capsys, "verify")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "b6430508e4c4c7c5dfd9a27981b15b219c8ebbf480b15bc214364ffa699469e0"
+
+
+def test_instance_lines_are_sorted_key_json(capsys, monkeypatch):
+    # the instance emitter writes its keys in a fixed order; each line must be
+    # what json.dumps(sort_keys=True) makes of it
+    code, out, _ = run_cli(capsys, "verify", "--case", "pn-minus-3", "--max-size", "81")
+    assert code == 0
+    _install_failing_row(monkeypatch)
+    code, failing, _ = run_cli(capsys, "verify")
+    assert code == 1
+    lines = out.splitlines() + failing.splitlines()
+    for line in lines:
+        assert line == json.dumps(json.loads(line), sort_keys=True, separators=(",", ":"))
+    instances = [r for r in records("\n".join(lines)) if r["record"] == "instance"]
+    assert any(r["ok"] is False and r["case"] == 'fake "row" \u00e9' for r in instances)
+    assert any(r["c"] is None and isinstance(r["observed"], list) for r in instances)
+    assert any(r["k"] is None for r in instances)
 
 
 def test_usage_errors_exit_2(capsys):

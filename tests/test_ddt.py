@@ -8,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 from cdiff.field import Field, build_field, is_prime
 from cdiff.funcs import LookupTable, PowerMap, as_lookup
 from cdiff.ddt import (delta_count, ddt_row, general_uniformity, power_uniformity,
-                       uniformity, sweep, c_set)
+                       uniformity, sweep, c_set, _plus_one)
 
-from conftest import brute_delta_count, brute_uniformity
+from conftest import ORACLE_FIELDS, brute_delta_count, brute_uniformity
 
 
 def test_delta_count_bijection_at_c0_a0():
@@ -123,21 +123,37 @@ def _assert_spectra_agree(f, d, fast, slow):
 
 @pytest.mark.parametrize("p,n", [(2, 1), (3, 1)] + _EXHAUSTIVE_FIELDS)
 def test_sweep_reports_equal_single_and_general_reports(p, n):
-    # a sweep counts one c per Frobenius orbit and copies that report to the
-    # orbit's other members; every copy must equal a call without a shared
-    # context and agree with the general route on the whole spectrum
+    # a sweep counts one c per orbit under c -> c^p and c -> 1/c and copies
+    # that report to the orbit's other members; every copy must equal a call
+    # without a shared context and agree with the general route on the whole
+    # spectrum, and sweeps that share a context over overlapping c-sets, with
+    # repeats, must equal fresh sweeps
     f = build_field(p, n)
     general = {}
+    low, high = list(range(2 * f.q // 3 + 1)), list(range(f.q // 3, f.q)) + [1, f.q - 1]
     for d in range(1, 2 * f.q + 1):
         lookup = as_lookup(f, PowerMap(d))    # d and d + q - 1 share a table
         reports = sweep(f, PowerMap(d), range(f.q))
         assert [r.c for r in reports] == list(range(f.q))
+        contexts = {}
+        for cs in (low, high):
+            shared = sweep(f, PowerMap(d), cs, _contexts=contexts)
+            assert shared == sweep(f, PowerMap(d), cs)
+        assert list(contexts) == [(p, n, d)]
         for rep in reports:
             assert rep == power_uniformity(f, d, rep.c), (p, n, d, rep.c)
             key = (lookup, rep.c)
             if key not in general:
                 general[key] = general_uniformity(f, lookup, rep.c)
             _assert_spectra_agree(f, d, rep, general[key])
+
+
+@pytest.mark.parametrize("p,n,modulus", ORACLE_FIELDS)
+def test_plus_one_equals_digit_add(p, n, modulus):
+    # the Zech table reads x + 1 off the constant digit alone
+    f = Field.build(p, n, modulus=modulus)
+    for x in (f.exp, f.elements()):
+        assert np.array_equal(_plus_one(p, x), f.add_v(x, 1))
 
 
 # Property tests over every field with q <= 729: a random (field, d, c).

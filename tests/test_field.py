@@ -6,7 +6,8 @@ import pytest
 
 from cdiff.field import Field, build_field, is_irreducible, is_prime
 
-from conftest import ref_add, ref_poly_mulmod, ref_eval_poly, ref_is_irreducible
+from conftest import (ORACLE_FIELDS, ref_add, ref_poly_mulmod, ref_eval_poly,
+                      ref_is_irreducible)
 
 
 # ---------------------------------------------------------------------------
@@ -152,14 +153,6 @@ def _ref_order(coeffs, modulus, p):
     while acc != one:
         acc, k = ref_poly_mulmod(acc, coeffs, modulus, p), k + 1
     return k
-
-
-ORACLE_FIELDS = ([(2, 1, None), (3, 1, None), (7, 1, None), (13, 1, None)]
-                 + [(2, n, None) for n in range(3, 11)]
-                 + [(3, n, None) for n in range(2, 7)]
-                 + [(5, 2, None), (13, 2, None),
-                    (3, 2, [2, 2, 1]), (2, 4, [1, 0, 0, 1, 1])]
-                 + [(257, 1, None), (65537, 1, None)])
 
 
 @pytest.mark.parametrize("p,n,modulus", ORACLE_FIELDS)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from cdiff.field import build_field, is_prime, DEFAULT_SIZE_CAP
+from cdiff import ddt
 from cdiff.ddt import power_uniformity
 from cdiff.theorems import (Exact, UpperBound, ValueSet, Instance, Branch, Row,
                             registry, case_by_id, applicable_cases, verify_case,
@@ -165,6 +166,34 @@ def test_verify_all_filter_and_max_size():
     assert all(r.passed for r in reports)
     for r in reports:
         assert all(res.instance.p ** res.instance.n <= 150 for res in r.results)
+
+
+def test_verify_all_equals_one_verify_case_per_row():
+    # rows that share a (p, n, d) share its power context within verify_all
+    assert verify_all(max_size=250) == [verify_case(case, max_size=250)
+                                        for case in registry()]
+
+
+def test_verify_all_counts_each_orbit_once(monkeypatch):
+    # one count per distinct (p, n, d, orbit of c under c -> c^p, c -> 1/c)
+    keys = set()
+    for case in registry():
+        for inst in case.default_instances(DEFAULT_SIZE_CAP):
+            f, m = build_field(inst.p, inst.n), inst.p ** inst.n - 1
+            for c in (inst.c,) if inst.c is not None else inst.c_values:
+                k = int(f.log[c])
+                key = -1 if c == 0 else min(s * k * inst.p**i % m
+                                            for i in range(inst.n) for s in (1, -1))
+                keys.add((inst.p, inst.n, inst.d, key))
+    counted, report = [], ddt._report
+
+    def counting_report(*args):
+        counted.append(args)
+        return report(*args)
+
+    monkeypatch.setattr(ddt, "_report", counting_report)
+    assert all(r.passed for r in verify_all())
+    assert len(counted) == len(keys) == 2631
 
 
 def test_reproduce_table_rows():
