@@ -43,7 +43,7 @@ of its report with c replaced.  A context lives for one `sweep`, or, in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,8 +59,7 @@ def classification_of(uniformity: int) -> str:
     return str(uniformity)
 
 
-@dataclass(frozen=True)
-class CDDTReport:
+class CDDTReport(NamedTuple):
     """Uniformity of one function at one c, with the attained-count spectrum.
 
     In "power-reduced" mode the spectrum counts b values over the a = 1 row
@@ -336,21 +335,25 @@ def sweep(field: Field, func: FunctionSpec, c_values,
 
 
 def c_set(field: Field, name: str) -> list[int]:
-    """Named c-sets: all, not-one, not-pm-one, subfield:K, outside-subfield:K."""
-    every = range(field.q)
+    """Named c-sets: all, not-one, not-pm-one, subfield:K, outside-subfield:K.
+    A ValueError names a set that selects no element."""
+    every = field.elements()
     if name == "all":
-        return list(every)
-    if name == "not-one":
-        return [c for c in every if c != 1]
-    if name == "not-pm-one":
-        minus_one = field.neg(1)
-        return [c for c in every if c not in (1, minus_one)]
-    if name.startswith("subfield:") or name.startswith("outside-subfield:"):
+        keep = np.full(field.q, True)
+    elif name == "not-one":
+        keep = every != 1
+    elif name == "not-pm-one":
+        keep = (every != 1) & (every != field.neg(1))
+    elif name.startswith("subfield:") or name.startswith("outside-subfield:"):
         kind, _, arg = name.partition(":")
         m = int(arg) if arg.isdecimal() else 0
         if m == 0 or field.n % m:
             raise ValueError(f"c-set {name!r}: K must be a positive integer "
                              f"dividing n = {field.n}")
-        inside = kind == "subfield"
-        return [c for c in every if field.in_subfield(c, m) == inside]
-    raise ValueError(f"unknown c-set {name!r}")
+        keep = field.in_subfield(every, m) == (kind == "subfield")
+    else:
+        raise ValueError(f"unknown c-set {name!r}")
+    cs = np.flatnonzero(keep).tolist()
+    if not cs:
+        raise ValueError(f"c-set {name!r} selects no element of GF({field.p}^{field.n})")
+    return cs

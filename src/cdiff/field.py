@@ -160,6 +160,11 @@ def _digit_add(x, y, p: int, n: int):
     return out
 
 
+def _like(x, value):
+    """`value` as an array where x is one, else as a Python int or bool."""
+    return value if isinstance(x, np.ndarray) else value.item()
+
+
 @dataclass(frozen=True)
 class Field:
     """A concrete GF(p^n): modulus, generator, and exp/log tables.
@@ -281,10 +286,11 @@ class Field:
             return 0
         return int(self.exp[(int(self.log[a]) + int(self.log[b])) % (self.q - 1)])
 
-    def inv(self, a: int) -> int:
-        if a == 0:
+    def inv(self, a):
+        """1/a, for an int or an int64 array of encodings."""
+        if np.any(a == 0):
             raise ZeroDivisionError("inversion of zero")
-        return int(self.exp[(-int(self.log[a])) % (self.q - 1)])
+        return _like(a, self.exp[-self.log[a] % (self.q - 1)])
 
     def pow(self, a: int, e: int) -> int:
         """a^e for integer e >= 0; pow(x, 0) = 1 for every x, pow(0, e) = 0
@@ -297,30 +303,28 @@ class Field:
             return 0
         return int(self.exp[(int(self.log[a]) * e) % (self.q - 1)])
 
-    def trace(self, x: int) -> int:
-        """Absolute trace into Z_p: the sum of the n Frobenius powers of x."""
-        t, y = 0, int(x)
-        for _ in range(self.n):
-            t = self.add(t, y)
-            y = self.pow(y, self.p)
-        return t  # an element of the prime subfield, encoding == residue
+    # -- element-wise maps (an int, or an int64 array of encodings) ----------
 
-    def quadratic_character(self, x: int) -> int:
+    def trace(self, x):
+        """Absolute trace into Z_p: the sum of the n Frobenius powers of x,
+        an element of the prime subfield, so its encoding is its residue."""
+        logs, t = self.log[x], 0
+        for i in range(self.n):
+            t = _digit_add(t, self.exp[logs * self.p**i % (self.q - 1)], self.p, self.n)
+        return _like(x, np.where(x == 0, 0, t))
+
+    def quadratic_character(self, x):
         """0 at 0, +1 on nonzero squares, -1 on non-squares (odd p only)."""
         if self.p == 2:
             raise ValueError("quadratic character requires odd characteristic")
-        if x == 0:
-            return 0
-        return 1 if int(self.log[x]) % 2 == 0 else -1
+        return _like(x, np.where(x == 0, 0, 1 - 2 * (self.log[x] % 2)))
 
-    def in_subfield(self, x: int, m: int) -> bool:
-        """Membership of x in the subfield GF(p^m); m must divide n."""
+    def in_subfield(self, x, m: int):
+        """Membership of x in the subfield GF(p^m); m must divide n.  The
+        logs of GF(p^m)* are the multiples of (q-1)/(p^m-1), and log 0 = 0."""
         if self.n % m != 0:
             raise ValueError(f"GF({self.p}^{m}) is not a subfield of GF({self.p}^{self.n})")
-        if x == 0:
-            return True
-        step = (self.q - 1) // (self.p**m - 1)
-        return int(self.log[x]) % step == 0
+        return _like(x, self.log[x] % ((self.q - 1) // (self.p**m - 1)) == 0)
 
     # -- vectorized arithmetic (int64 arrays of encodings) -------------------
 
@@ -349,10 +353,7 @@ class Field:
 
     def eta_all(self) -> np.ndarray:
         """Quadratic character over all elements in canonical order (odd p)."""
-        if self.p == 2:
-            raise ValueError("quadratic character requires odd characteristic")
-        x = self.elements()
-        return np.where(x == 0, 0, np.where(self.log[x] % 2 == 0, 1, -1))
+        return self.quadratic_character(self.elements())
 
     # -- serialization -------------------------------------------------------
 

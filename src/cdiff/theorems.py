@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, NamedTuple, Union
+
+import numpy as np
 
 from cdiff.field import Field, build_field, DEFAULT_SIZE_CAP
 from cdiff.ddt import sweep
@@ -68,8 +70,7 @@ Prediction = Union[Exact, UpperBound, ValueSet]
 # Instances and reports
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(NamedTuple):
     """One concrete check: a field, an exponent, and either a single c or a
     c-sweep whose observed-value set is compared as a whole."""
     p: int
@@ -82,8 +83,7 @@ class Instance:
     c_values: tuple[int, ...] | None = None
 
 
-@dataclass(frozen=True)
-class InstanceResult:
+class InstanceResult(NamedTuple):
     instance: Instance
     observed: int | tuple[int, ...]
     ok: bool
@@ -104,10 +104,12 @@ class VerificationReport:
 
 @dataclass(frozen=True)
 class Branch:
-    """One condition on c within a row: `accepts(field, k, c)` filters c, and
-    `label` and `predicted` are constants or functions of (field, k)."""
+    """One condition on c within a row.  `accepts(field, k, cs)` takes an
+    int64 array of encodings and returns a bool mask of the same shape, the
+    c's the branch accepts; `label` and `predicted` are constants or
+    functions of (field, k)."""
     label: str | Callable[[Field, int | None], str]
-    accepts: Callable[[Field, int | None, int], bool]
+    accepts: Callable[[Field, int | None, np.ndarray], np.ndarray]
     predicted: Prediction | Callable[[Field, int | None], Prediction]
 
 
@@ -119,12 +121,13 @@ class Row:
     field.  The default grid runs the family over `fields`, whose entries are
     (p, n), or (p, n, k) to keep only the exponent with that k.  For each
     exponent the grid takes, branch by branch, every c in ascending order
-    that the branch accepts; `sweep`, where it knows the field's value set,
-    then adds one aggregated instance over the last branch's c values.
+    that the branch accepts, from one mask over the field's elements; `sweep`,
+    where it knows the field's value set, then adds one aggregated instance
+    over the last branch's c values.
 
     At (field, d, c) the row looks up the first family exponent that is the
-    same map as x^d; it applies when one of its branches accepts c, and the
-    first such branch gives the prediction.
+    same map as x^d; it applies when one of its branches accepts c (a
+    one-element array), and the first such branch gives the prediction.
     """
     id: str
     statement: str
@@ -133,11 +136,28 @@ class Row:
     branches: tuple[Branch, ...]
     sweep: Callable[[Field], frozenset[int] | None] = lambda f: None
 
+    def _mask(self, branch: Branch, field: Field, k: int | None,
+              cs: np.ndarray) -> np.ndarray:
+        """`branch.accepts` over `cs`; a ValueError naming the row and the
+        branch unless that is a bool array of the shape of `cs`."""
+        try:
+            mask = branch.accepts(field, k, cs)
+            if isinstance(mask, np.ndarray) and mask.dtype == bool and mask.shape == cs.shape:
+                return mask
+            problem = f"got {np.asarray(mask).dtype} of shape {np.shape(mask)}"
+        except ValueError as exc:       # as numpy refuses `c in (0, 1)` on an array
+            problem = str(exc)
+        raise ValueError(f"row {self.id!r}, branch {_at(branch.label, field, k)!r}: "
+                         f"a c-filter maps an int64 array of encodings to a bool "
+                         f"array of its shape ({problem})")
+
     def _branch_at(self, field: Field, d: int, c: int):
         d = _fexp(field.q, d)
         for e, k in self.family(field):
             if _fexp(field.q, e) == d:
-                return next((b for b in self.branches if b.accepts(field, k, c)), None), k
+                cs = np.array([c], dtype=np.int64)
+                return next((b for b in self.branches if self._mask(b, field, k, cs)[0]),
+                            None), k
         return None, None
 
     def predict(self, field: Field, d: int, c: int) -> Prediction | None:
@@ -159,11 +179,11 @@ class Row:
         for f, d, k in self.exponents(max_size):
             for branch in self.branches:
                 label, predicted = _at(branch.label, f, k), _at(branch.predicted, f, k)
-                cs = tuple(c for c in range(f.q) if branch.accepts(f, k, c))
-                out.extend(Instance(f.p, f.n, d, k, c, label, predicted) for c in cs)
+                cs = np.flatnonzero(self._mask(branch, f, k, f.elements())).tolist()
+                out.extend([Instance(f.p, f.n, d, k, c, label, predicted) for c in cs])
             if (values := self.sweep(f)) is not None:
                 out.append(Instance(f.p, f.n, d, k, None, f"sweep {label}",
-                                    ValueSet(values), c_values=cs))
+                                    ValueSet(values), c_values=tuple(cs)))
         return out
 
 
@@ -190,22 +210,32 @@ def _c_not_one(predicted) -> Branch:
     return Branch("c != 1", lambda f, k, c: c != 1, predicted)
 
 
-def _inverse_bin_condition(field: Field, c: int) -> bool:
-    return field.trace(c) == 1 and field.trace(field.inv(c)) == 1
+# Each condition maps an int64 array of c's to a bool mask.  Encodings 0
+# and 1 are the elements 0 and 1, so c > 1 is c not in {0, 1}; a condition
+# that inverts c evaluates only where the division is defined.
+
+def _inverse_bin_condition(field: Field, c: np.ndarray) -> np.ndarray:
+    """c not in {0, 1} and Tr(c) = Tr(1/c) = 1."""
+    out = c > 1
+    x = c[out]
+    out[out] = (field.trace(x) == 1) & (field.trace(field.inv(x)) == 1)
+    return out
 
 
-def _inverse_odd_etas(field: Field, c: int) -> tuple[int, int]:
-    four = field.from_int(4)
-    e1 = field.quadratic_character(field.sub(field.mul(c, c), field.mul(four, c)))
-    e2 = field.quadratic_character(field.sub(1, field.mul(four, c)))
-    return e1, e2
+def _inverse_odd_condition(field: Field, c: np.ndarray) -> np.ndarray:
+    """eta(c^2-4c) = 1 or eta(1-4c) = 1."""
+    four_c = field.mul_v(field.from_int(4), c)
+    return ((field.quadratic_character(field.sub_v(field.mul_v(c, c), four_c)) == 1)
+            | (field.quadratic_character(field.sub_v(1, four_c)) == 1))
 
 
-def _half_pn_plus1_refined(field: Field, c: int) -> bool:
-    if field.q % 4 != 1:
-        return False
-    ratio = field.mul(field.sub(1, c), field.inv(field.add(1, c)))
-    return field.quadratic_character(ratio) == 1
+def _half_pn_plus1_refined(field: Field, c: np.ndarray) -> np.ndarray:
+    """c not in {1, -1}, q = 1 mod 4 and eta((1-c)/(1+c)) = 1."""
+    out = (c != 1) & (c != field.p - 1) & (field.q % 4 == 1)
+    x = c[out]
+    ratio = field.mul_v(field.sub_v(1, x), field.inv(field.add_v(1, x)))
+    out[out] = field.quadratic_character(ratio) == 1
+    return out
 
 
 def _inverse(field: Field) -> list[tuple[int, None]]:
@@ -307,39 +337,39 @@ _ROWS = (
         "binary x^(q-2) has uniformity 2 when Tr(c) = Tr(1/c) = 1 (c != 0, 1)",
         _BINARY_FIELDS, _binary_inverse,
         (Branch("Tr(c) = Tr(1/c) = 1",
-                lambda f, k, c: c not in (0, 1) and _inverse_bin_condition(f, c),
+                lambda f, k, c: _inverse_bin_condition(f, c),
                 Exact(2)),)),
     Row("inverse-bin-3",
         "binary x^(q-2) has uniformity 3 when Tr(c) = 0 or Tr(1/c) = 0 (c != 0, 1)",
         _BINARY_FIELDS, _binary_inverse,
         (Branch("Tr(c) = 0 or Tr(1/c) = 0",
-                lambda f, k, c: c not in (0, 1) and not _inverse_bin_condition(f, c),
+                lambda f, k, c: (c > 1) & ~_inverse_bin_condition(f, c),
                 Exact(3)),)),
     Row("inverse-odd-2",
         "odd-p x^(q-2) has uniformity 2 when eta(c^2-4c) != 1 and eta(1-4c) != 1 "
         "(c != 0, 1)",
         _INVERSE_ODD_FIELDS, _odd_inverse,
         (Branch("eta(c^2-4c) != 1 and eta(1-4c) != 1",
-                lambda f, k, c: c not in (0, 1) and 1 not in _inverse_odd_etas(f, c),
+                lambda f, k, c: (c > 1) & ~_inverse_odd_condition(f, c),
                 Exact(2)),)),
     Row("inverse-odd-3",
         "odd-p x^(q-2) has uniformity 3 when eta(c^2-4c) = 1 or eta(1-4c) = 1 "
         "(c != 0, 1)",
         _INVERSE_ODD_FIELDS, _odd_inverse,
         (Branch("eta(c^2-4c) = 1 or eta(1-4c) = 1",
-                lambda f, k, c: c not in (0, 1) and 1 in _inverse_odd_etas(f, c),
+                lambda f, k, c: (c > 1) & _inverse_odd_condition(f, c),
                 Exact(3)),)),
     Row("gold-subfield",
         "x^(p^k+1) has uniformity gcd(d, q-1) for subfield c != 1",
         ((3, 2, 1), (3, 4, 2), (5, 2, 1), (7, 2, 1), (2, 4, 2), (2, 6, 3)), _gold,
         (Branch(lambda f, k: f"c in GF({f.p}^{math.gcd(k, f.n)}), c != 1",
-                lambda f, k, c: c != 1 and f.in_subfield(c, math.gcd(k, f.n)),
+                lambda f, k, c: (c != 1) & f.in_subfield(c, math.gcd(k, f.n)),
                 lambda f, k: Exact(math.gcd(f.p**k + 1, f.q - 1))),)),
     Row("gold-binary-outside",
         "binary x^(2^k+1) has uniformity 2^gcd(n,k)+1 outside the gcd subfield",
         _GOLD_BINARY_GRID, _binary_gold,
         (Branch(lambda f, k: f"c outside GF(2^{math.gcd(f.n, k)})",
-                lambda f, k, c: not f.in_subfield(c, math.gcd(f.n, k)),
+                lambda f, k, c: ~f.in_subfield(c, math.gcd(f.n, k)),
                 lambda f, k: Exact(2 ** math.gcd(f.n, k) + 1)),)),
     Row("half-gold-pcn",
         "x^((p^k+1)/2) at c = -1: PcN iff 2n/gcd(2n,k) is odd, "
@@ -347,13 +377,13 @@ _ROWS = (
         _HALF_GOLD_FIELDS, _half_gold, (_c_minus_one(_half_gold_prediction),)),
     Row("half-pn-plus1", "x^((q+1)/2) has uniformity <= 4 when c != +-1",
         _UPPER_BOUND_FIELDS, _half_q_plus_1,
-        (Branch("c != +-1", lambda f, k, c: c not in (1, f.p - 1), UpperBound(4)),)),
+        (Branch("c != +-1", lambda f, k, c: (c != 1) & (c != f.p - 1), UpperBound(4)),)),
     Row("half-pn-plus1-refined",
         "x^((q+1)/2) has uniformity <= 2 when c != +-1, q = 1 mod 4, "
         "eta((1-c)/(1+c)) = 1",
         _UPPER_BOUND_FIELDS, _half_q_plus_1,
         (Branch("c != +-1, q = 1 mod 4, eta((1-c)/(1+c)) = 1",
-                lambda f, k, c: c not in (1, f.p - 1) and _half_pn_plus1_refined(f, c),
+                lambda f, k, c: _half_pn_plus1_refined(f, c),
                 UpperBound(2)),)),
     Row("three-n-plus-3", "x^((3^n+3)/2) is APcN at c = -1 for even n",
         ((3, 2), (3, 4), (3, 6)),
@@ -371,7 +401,7 @@ _ROWS = (
         lambda f: [(f.q - 3, None)] if f.p == 3 and f.n >= 2 else [],
         (_c_minus_one(_pn3_minus_one_prediction),
          Branch("c = 0", lambda f, k, c: c == 0, Exact(2)),
-         Branch("c not in {0,1,-1}", lambda f, k, c: c not in (0, 1, f.p - 1),
+         Branch("c not in {0,1,-1}", lambda f, k, c: (c > 1) & (c != f.p - 1),
                 UpperBound(5))),
         sweep=lambda f: _PN3_VALUE_SETS.get(f.n)),
     Row("pn-minus-3-classical",

@@ -228,6 +228,25 @@ def test_sweep_bad_c_set_names_it(capsys):
     assert "'subfield:0'" in err and "modulo" not in err
 
 
+def test_sweep_empty_c_set_names_it(capsys):
+    code, out, err = run_cli(capsys, "sweep", "-p", "2", "-n", "3", "-d", "3",
+                             "--c-set", "outside-subfield:3")
+    assert code == 2 and out == ""
+    assert err == ("cdiff: error: c-set 'outside-subfield:3' selects no element "
+                   "of GF(2^3)\n")
+
+
+def test_verify_names_a_scalar_only_c_filter(capsys, monkeypatch):
+    # `c not in (0, 1)` asks numpy for the truth value of a whole array
+    fake = theorems.Row(
+        "scalar-row", "a c-filter written for one c", ((3, 2),), lambda f: [(2, None)],
+        (theorems.Branch("c != 0, 1", lambda f, k, c: c not in (0, 1), theorems.Exact(2)),))
+    monkeypatch.setattr(theorems, "_ROWS", (fake,))
+    code, out, err = run_cli(capsys, "verify")
+    assert code == 2 and out == ""
+    assert "row 'scalar-row', branch 'c != 0, 1'" in err and "ambiguous" in err
+
+
 def test_dickson_commands(capsys):
     code, out, _ = run_cli(capsys, "dickson", "-p", "3", "-n", "2", "-m", "2")
     assert code == 0

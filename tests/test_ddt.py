@@ -364,6 +364,29 @@ def test_named_c_sets():
         c_set(f, "bogus")
 
 
+def test_subfield_c_sets_match_the_scalar_membership_test():
+    for p, n in [(2, 6), (3, 4), (5, 2), (2, 4)]:
+        f = build_field(p, n)
+        for m in (m for m in range(1, n + 1) if n % m == 0):
+            inside = [c for c in range(f.q) if f.in_subfield(c, m)]
+            assert c_set(f, f"subfield:{m}") == inside
+            if m < n:
+                assert c_set(f, f"outside-subfield:{m}") == sorted(set(range(f.q)) - set(inside))
+            else:
+                with pytest.raises(ValueError, match=re.escape(
+                        f"c-set 'outside-subfield:{m}' selects no element of GF({p}^{n})")):
+                    c_set(f, f"outside-subfield:{m}")
+
+
+def test_reports_are_immutable_and_hash_by_value():
+    f = build_field(3, 3)
+    a, b = power_uniformity(f, 4, 5), power_uniformity(f, 4, 5)
+    assert a == b and hash(a) == hash(b) and a is not b
+    assert a != power_uniformity(f, 4, 0)
+    with pytest.raises(AttributeError):
+        a.c = 7
+
+
 @pytest.mark.parametrize("name", ["subfield:0", "outside-subfield:0", "subfield:x",
                                   "outside-subfield:1.5", "subfield:", "subfield:3"])
 def test_c_set_rejects_bad_subfield_degree(name):

@@ -281,6 +281,24 @@ def test_in_subfield():
         f.in_subfield(1, 3)
 
 
+@pytest.mark.parametrize("p,n", [(2, 5), (3, 3), (5, 2), (7, 1)])
+def test_element_maps_take_an_int_or_an_array(p, n):
+    f = build_field(p, n)
+    x, nonzero = f.elements(), f.elements()[1:]
+    maps = [(f.trace, x, int), (f.inv, nonzero, int),
+            (lambda v: f.in_subfield(v, 1), x, bool)]
+    if p > 2:
+        maps.append((f.quadratic_character, x, int))
+    for fn, xs, kind in maps:
+        scalars = [fn(int(v)) for v in xs]
+        assert all(type(s) is kind for s in scalars)
+        out = fn(xs)
+        assert isinstance(out, np.ndarray) and out.shape == xs.shape
+        assert out.tolist() == scalars
+    with pytest.raises(ZeroDivisionError):
+        f.inv(x)
+
+
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -11,6 +12,8 @@ from cdiff.ddt import power_uniformity
 from cdiff.theorems import (Exact, UpperBound, ValueSet, Instance, Branch, Row,
                             registry, case_by_id, applicable_cases, verify_case,
                             verify_all, reproduce_table)
+
+from conftest import REF_CONDITIONS, RefField
 
 EXPECTED_IDS = {
     "square", "inverse-c0", "inverse-bin-2", "inverse-bin-3", "inverse-odd-2",
@@ -153,6 +156,39 @@ def test_verify_records_failures_without_raising():
     assert report.counterexamples[0].observed == 2
 
 
+def test_records_are_immutable_and_hash_by_value():
+    inst = Instance(3, 2, 2, None, 5, "c != 1", Exact(2))
+    twin = Instance(3, 2, 2, None, 5, "c != 1", Exact(2))
+    result = verify_case(case_by_id("square"), instances=[inst]).results[0]
+    again = verify_case(case_by_id("square"), instances=[twin]).results[0]
+    assert inst == twin and hash(inst) == hash(twin) and inst.c_values is None
+    assert result == again and hash(result) == hash(again)
+    assert inst != inst._replace(c=6)
+    for record, attr in ((inst, "c"), (result, "ok")):
+        with pytest.raises(AttributeError):
+            setattr(record, attr, None)
+
+
+@pytest.mark.parametrize("accepts", [
+    lambda f, k, c: c not in (0, 1),                # numpy: truth value is ambiguous
+    lambda f, k, c: c,                              # an int array, not a bool mask
+    lambda f, k, c: (c == 0)[:1],                   # the wrong shape
+])
+def test_a_c_filter_must_return_a_bool_mask(accepts):
+    fake = Row("fake", "a malformed c-filter", ((3, 2),), lambda f: [(2, None)],
+               (Branch("bad label", accepts, Exact(2)),))
+    with pytest.raises(ValueError, match="row 'fake', branch 'bad label'"):
+        fake.default_instances(DEFAULT_SIZE_CAP)
+
+
+def test_predict_rejects_a_scalar_only_c_filter():
+    # on a one-element array `c not in (0, 1)` gives a Python bool, not a mask
+    fake = Row("fake", "a malformed c-filter", ((3, 2),), lambda f: [(2, None)],
+               (Branch("bad label", lambda f, k, c: c not in (0, 1), Exact(2)),))
+    with pytest.raises(ValueError, match="row 'fake', branch 'bad label'.*got bool"):
+        fake.predict(build_field(3, 2), 2, 5)
+
+
 def test_verify_case_threads_deterministic():
     case = case_by_id("square")
     a = verify_case(case, max_size=200)
@@ -283,3 +319,32 @@ def test_claims_hold_off_their_grids(check):
     # about the claim or its declared condition, not a reason to narrow it
     row, (p, n) = check
     assert verify_case(dataclasses.replace(row, fields=((p, n),))).passed, (row.id, p, n)
+
+
+# ---------------------------------------------------------------------------
+# branch masks against one-c-at-a-time references
+# ---------------------------------------------------------------------------
+
+# Every field with q <= 2500, on a row's grid or off it.
+_MASK_FIELDS = [(p, n) for p in range(2, 2501) if is_prime(p)
+                for n in range(1, 12) if p**n <= 2500]
+
+
+def test_branch_masks_match_reference_conditions():
+    rows = registry()
+    assert sorted(REF_CONDITIONS) == sorted(row.id for row in rows)
+    covered = set()
+    for p, n in _MASK_FIELDS:
+        f = build_field(p, n)
+        F = RefField(f)
+        for row in rows:
+            refs = REF_CONDITIONS[row.id]
+            assert len(refs) == len(row.branches), row.id
+            for d, k in row.family(f):
+                covered.add(row.id)
+                for branch, ref in zip(row.branches, refs):
+                    mask = branch.accepts(f, k, f.elements())
+                    assert mask.dtype == bool and mask.shape == (f.q,)
+                    want = [c for c in range(f.q) if ref(F, k, c)]
+                    assert np.flatnonzero(mask).tolist() == want, (row.id, p, n, d)
+    assert covered == set(REF_CONDITIONS)
