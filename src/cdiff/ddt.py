@@ -107,8 +107,9 @@ def delta_count(field: Field, func: FunctionSpec, c: int, a: int, b: int) -> int
     return int(ddt_row(field, func, c, a)[b])
 
 
-# (a, x) pairs per slab of the general scan, and (c, x) pairs per slab of
-# power-route rows: small enough that a slab and its temporaries stay in cache
+# (a, x) pairs per slab of the general scan, (c, x) pairs per slab of
+# power-route rows, and entries per chunk of `_log_terms`: small enough that
+# a slab and its temporaries stay in cache
 _SLAB_PAIRS = 2**16
 
 
@@ -199,7 +200,7 @@ def _orbit_keys(field: Field, cs: np.ndarray) -> np.ndarray:
     """Least of +-log(c) p^i mod q-1 over i < n: one key per orbit of c under
     c -> c^p and c -> 1/c; -1 for c = 0."""
     m = field.q - 1
-    t = field.log[cs]
+    t = field.log_v(cs)
     keys = np.minimum(t, -t % m)
     for _ in range(field.n - 1):
         t = t * field.p % m
@@ -210,21 +211,28 @@ def _orbit_keys(field: Field, cs: np.ndarray) -> np.ndarray:
 
 
 def _log_terms(field: Field, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The Zech table Z[k] = log(1 + g^k), -1 where 1 + g^k = 0, and over the
-    x = g^k with x + 1 != 0 the logs ls = d Z[k] and D = d k - ls mod q-1."""
-    m = field.q - 1
-    plus_one = _plus_one(field.p, field.exp)
-    zech = field.log[plus_one]
-    zech[plus_one == 0] = -1
-    del plus_one
-    k = np.flatnonzero(zech >= 0)
-    ls = zech[k]
-    ls *= d % m
-    ls %= m
-    diff = k * (d % m)
-    diff -= ls
-    diff %= m
-    return zech, ls, diff
+    """The Zech table Z[k] = log(1 + g^k), 0 where 1 + g^k = 0 (`count`
+    masks that entry), and over the x = g^k with x + 1 != 0 the logs
+    ls = d Z[k] and D = d k - ls mod q-1, in no particular order.  All three
+    are int32; the products are formed in int64 one chunk of _SLAB_PAIRS
+    entries at a time."""
+    m, dm = field.q - 1, d % (field.q - 1)
+    zech, ls, diff = (np.empty(m, dtype=np.int32) for _ in range(3))
+    for lo in range(0, m, _SLAB_PAIRS):
+        hi = min(lo + _SLAB_PAIRS, m)
+        z = field.log[_plus_one(field.p, field.exp[lo:hi].astype(np.int64))]
+        zech[lo:hi] = z
+        z = np.multiply(z, dm, dtype=np.int64)
+        z %= m
+        ls[lo:hi] = z
+        k = np.arange(lo, hi, dtype=np.int64)
+        k *= dm
+        k -= z
+        k %= m
+        diff[lo:hi] = k
+    k = int(field.log[field.p - 1])         # x = g^k = -1, the integer p - 1
+    ls[k], diff[k] = ls[-1], diff[-1]       # drop x = -1 by moving the last x there
+    return zech, ls[:-1], diff[:-1]
 
 
 class _PowerContext:
@@ -266,18 +274,17 @@ class _PowerContext:
         zech, ls, diff = _log_terms(f, d)
         order, reps = list(todo), np.array(list(todo.values()), dtype=np.int64)
         log_minus_one = int(f.log[f.p - 1])                 # -1 is the integer p - 1
-        log_neg_c = (f.log[reps] + log_minus_one) % m
+        log_neg_c = (f.log_v(reps) + log_minus_one) % m
         log_at_minus_one = (log_neg_c + d * log_minus_one % m) % m  # x = -1: b = -c (-1)^d
         # slabs of c-rows, each of q bins: log b for b != 0, m for b = 0
         block = max(1, _SLAB_PAIRS // q)
         for lo in range(0, len(reps), block):
             c, lnc = reps[lo:lo + block], log_neg_c[lo:lo + block, None]
             r = len(c)
-            z = diff + lnc
+            z = np.add(diff, lnc, dtype=np.int64)   # one int64 buffer per slab
             z %= m
-            z = zech[z]
-            zero = z < 0
-            z += ls
+            zero = z == log_minus_one               # 1 + g^z = 0: b = 0
+            np.add(zech[z], ls, out=z, dtype=np.int64)
             z %= m
             z[zero] = m
             del zero
@@ -298,14 +305,15 @@ class _PowerContext:
 def power_uniformity(field: Field, d: int, c: int,
                      _ctx: _PowerContext | None = None) -> CDDTReport:
     """Uniformity of x^d at c from the a = 1 row plus the a = 0 gcd term.
-    `_ctx` is the context that `sweep` shares between its calls and has
-    already counted c in; without one, the call builds its own and shares
-    nothing."""
-    d, c = check_exponent(d), _element(field, "c", c)
-    ctx = _ctx if _ctx is not None else _PowerContext(field, d)
-    if c not in ctx.key_of:
-        ctx.count([c])
-    rep = ctx.reports[ctx.key_of[c]]
+    `_ctx` is the context that `sweep` shares between its calls, and the call
+    only reads c's report from it: `sweep` has checked d and c and counted c
+    there.  Without one, the call checks d and c, and builds and counts a
+    context of its own."""
+    if _ctx is None:
+        d, c = check_exponent(d), _element(field, "c", c)
+        _ctx = _PowerContext(field, d)
+        _ctx.count([c])
+    rep = _ctx.reports[_ctx.key_of[c]]
     if rep.c != c:
         rep = CDDTReport(c, rep.uniformity, rep.spectrum, rep.classification, rep.mode)
     return rep
@@ -316,13 +324,25 @@ def uniformity(field: Field, func: FunctionSpec, c: int) -> CDDTReport:
     return sweep(field, func, [c])[0]
 
 
+def _c_list(field: Field, c_values) -> list[int]:
+    """The c's as an ascending list of plain ints.  An integer array gets one
+    range check; any other c-set is checked c by c, which names the first c
+    that is not an element."""
+    values = list(c_values)
+    cs = np.asarray(values)
+    if not (cs.dtype.kind in "iu" and cs.ndim == 1
+            and ((cs >= 0) & (cs < field.q)).all()):
+        values = [_element(field, "c", c) for c in values]
+    return sorted(map(int, values))
+
+
 def sweep(field: Field, func: FunctionSpec, c_values,
           _contexts: dict | None = None) -> list[CDDTReport]:
     """Independent reports for every c, in canonical element order.
     `_contexts` maps (p, n, d) to the power context to count in, so that the
     sweeps of `theorems.verify_all` that share a field and exponent count
     each orbit once."""
-    cs = sorted(_element(field, "c", c) for c in c_values)
+    cs = _c_list(field, c_values)
     if not cs:
         raise ValueError("empty c-set")
     if isinstance(func, PowerMap):

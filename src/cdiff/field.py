@@ -4,7 +4,10 @@ Elements are plain ints in [0, p^n): the base-p digits of the encoding are the
 polynomial-basis coefficients (digit i = coefficient of x^i).  Canonical
 element order is integer order of this encoding.  Multiplication runs on
 exp/log tables built from a deterministically chosen modulus and generator,
-so two builds of the same (p, n) are identical arrays.
+so two builds of the same (p, n) are identical arrays.  The tables are int32:
+every encoding and log is below the size cap, 2^22 < 2^31.  Arrays of
+encodings that the field hands out are int64, and a log or an encoding is
+multiplied by an integer >= 2 only in int64, where the product cannot wrap.
 """
 
 from __future__ import annotations
@@ -15,6 +18,10 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 DEFAULT_SIZE_CAP = 2**22
+
+# Entries per step of the table builds: few enough that a step's
+# temporaries stay in cache.
+_CHUNK = 2**16
 
 
 def is_prime(m: int) -> bool:
@@ -177,8 +184,8 @@ class Field:
     q: int
     modulus: tuple[int, ...]          # n+1 coefficients, monic
     generator: int                    # canonical encoding
-    exp: np.ndarray = dataclass_field(repr=False)     # exp[k] = generator^k, length q-1
-    log: np.ndarray = dataclass_field(repr=False)     # log[exp[k]] = k; log[0] = 0 (guarded)
+    exp: np.ndarray = dataclass_field(repr=False)     # int32 exp[k] = generator^k, length q-1
+    log: np.ndarray = dataclass_field(repr=False)     # int32 log[exp[k]] = k; log[0] = 0 (guarded)
 
     # -- construction -------------------------------------------------------
 
@@ -219,26 +226,35 @@ class Field:
         # product mod p when n = 1.  For n > 1, x -> x*h is GF(p)-linear, so
         # the product is the image of the low t digits plus that of the high
         # n-t digits, read from tables of the matrix of h on digit patterns.
+        # Each step works in int64 on chunks of _CHUNK entries (x h passes
+        # 2^31 once p > 46341), so no q-element temporary is made.
         if n > 1:
             powers, t = p ** np.arange(n, dtype=np.int64), (n + 1) // 2
             low = np.arange(p**t, dtype=np.int64)[:, None] // powers[:t] % p
             high = np.arange(p**(n - t), dtype=np.int64)[:, None] // powers[:n - t] % p
-        exp, h = np.ones(1, dtype=np.int64), gen_digits
-        while len(exp) < q - 1:
-            x = exp[:q - 1 - len(exp)]
-            if n == 1:
-                image = x * h[0] % p
-            else:
+        exp, size, h = np.empty(q - 1, dtype=np.int32), 1, gen_digits
+        exp[0] = 1
+        while size < q - 1:
+            if n > 1:
                 mat = np.array([_poly_mulmod(row, h, modulus, p)
                                 for row in np.eye(n, dtype=int).tolist()], dtype=np.int64)
                 low_img, high_img = low @ mat[:t] % p @ powers, high @ mat[t:] % p @ powers
-                image = _digit_add(low_img[x % p**t], high_img[x // p**t], p, n)
-            exp = np.concatenate([exp, image])
+            step = min(size, q - 1 - size)
+            for lo in range(0, step, _CHUNK):
+                x = exp[lo:min(lo + _CHUNK, step)].astype(np.int64)
+                if n == 1:
+                    image = x * h[0] % p
+                else:
+                    image = _digit_add(low_img[x % p**t], high_img[x // p**t], p, n)
+                exp[size + lo:size + lo + len(x)] = image
+            size += step
             h = _poly_mulmod(h, h, modulus, p)
         if _poly_mulmod(gen_digits, _digits(int(exp[-1]), p, n), modulus, p) != _digits(1, p, n):
             raise ValueError("generator order is not q-1")  # defensive; found above
-        log = np.zeros(q, dtype=np.int64)
-        log[exp] = np.arange(q - 1, dtype=np.int64)
+        log = np.zeros(q, dtype=np.int32)
+        for lo in range(0, q - 1, _CHUNK):
+            hi = min(lo + _CHUNK, q - 1)
+            log[exp[lo:hi]] = np.arange(lo, hi, dtype=np.int32)
         for table in (exp, log):
             table.setflags(write=False)
 
@@ -290,7 +306,7 @@ class Field:
         """1/a, for an int or an int64 array of encodings."""
         if np.any(a == 0):
             raise ZeroDivisionError("inversion of zero")
-        return _like(a, self.exp[-self.log[a] % (self.q - 1)])
+        return _like(a, self.exp[-self.log_v(a) % (self.q - 1)].astype(np.int64))
 
     def pow(self, a: int, e: int) -> int:
         """a^e for integer e >= 0; pow(x, 0) = 1 for every x, pow(0, e) = 0
@@ -308,7 +324,7 @@ class Field:
     def trace(self, x):
         """Absolute trace into Z_p: the sum of the n Frobenius powers of x,
         an element of the prime subfield, so its encoding is its residue."""
-        logs, t = self.log[x], 0
+        logs, t = self.log_v(x), np.int64(0)
         for i in range(self.n):
             t = _digit_add(t, self.exp[logs * self.p**i % (self.q - 1)], self.p, self.n)
         return _like(x, np.where(x == 0, 0, t))
@@ -317,16 +333,21 @@ class Field:
         """0 at 0, +1 on nonzero squares, -1 on non-squares (odd p only)."""
         if self.p == 2:
             raise ValueError("quadratic character requires odd characteristic")
-        return _like(x, np.where(x == 0, 0, 1 - 2 * (self.log[x] % 2)))
+        return _like(x, np.where(x == 0, 0, 1 - 2 * (self.log_v(x) % 2)))
 
     def in_subfield(self, x, m: int):
         """Membership of x in the subfield GF(p^m); m must divide n.  The
         logs of GF(p^m)* are the multiples of (q-1)/(p^m-1), and log 0 = 0."""
         if self.n % m != 0:
             raise ValueError(f"GF({self.p}^{m}) is not a subfield of GF({self.p}^{self.n})")
-        return _like(x, self.log[x] % ((self.q - 1) // (self.p**m - 1)) == 0)
+        return _like(x, self.log_v(x) % ((self.q - 1) // (self.p**m - 1)) == 0)
 
     # -- vectorized arithmetic (int64 arrays of encodings) -------------------
+
+    def log_v(self, x):
+        """log x in int64, with log 0 = 0: arithmetic on logs runs in int64,
+        where products cannot wrap, and not in the int32 of the table."""
+        return self.log[x].astype(np.int64)
 
     def add_v(self, x, y):
         return _digit_add(x, y, self.p, self.n)
@@ -336,8 +357,10 @@ class Field:
 
     def mul_v(self, x, y):
         zero = (x == 0) | (y == 0)
-        prod = self.exp[(self.log[x] + self.log[y]) % (self.q - 1)]
-        return np.where(zero, 0, prod)
+        k = self.log_v(x)
+        k += self.log[y]
+        k %= self.q - 1
+        return np.where(zero, np.int64(0), self.exp[k])     # int64, like x and y
 
     def pow_all(self, d: int) -> np.ndarray:
         """Table of x^d over all field elements in canonical order (d >= 0)."""
@@ -345,9 +368,10 @@ class Field:
             raise ValueError("exponent must be non-negative")
         if d == 0:
             return np.ones(self.q, dtype=np.int64)
-        out = np.zeros(self.q, dtype=np.int64)
-        k = np.arange(self.q - 1, dtype=np.int64)
-        out[self.exp] = self.exp[(k * (d % (self.q - 1))) % (self.q - 1)]
+        k = self.log.astype(np.int64)      # x^d = g^(d log x), 0^d = 0
+        k *= d % (self.q - 1)
+        k %= self.q - 1
+        out = self.exp[k].astype(np.int64)
         out[0] = 0
         return out
 

@@ -1,5 +1,6 @@
 import math
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -7,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from cdiff.field import Field, build_field, is_prime
 from cdiff.funcs import LookupTable, PowerMap, as_lookup
+from cdiff import ddt
 from cdiff.ddt import (delta_count, ddt_row, general_uniformity, power_uniformity,
-                       uniformity, sweep, c_set, _plus_one)
+                       uniformity, sweep, c_set, _orbit_keys, _plus_one)
 
 from conftest import ORACLE_FIELDS, brute_delta_count, brute_uniformity
 
@@ -213,13 +215,18 @@ def test_power_equals_general_sampled_above(p, n, pairs, rng):
         _assert_routes_agree(f, d, c, as_lookup(f, PowerMap(d)))
 
 
-@pytest.mark.parametrize("p,n", [(2, 17), (3, 11)])
+@pytest.mark.parametrize("p,n", [(2, 17), (3, 11), (131071, 1)])
 def test_power_route_against_digit_add_rows_above_hypothesis_range(p, n, rng):
     # one digit-add `ddt_row` at some a != 0 plus the analytic a = 0 row is a
-    # Theta(q) oracle: it shares neither the Zech table nor the orbit cache
+    # Theta(q) oracle: it shares neither the Zech table nor the orbit cache.
+    # The tables are int32: over GF(131071), p > 46341, so the products
+    # x h of the table build pass 2^31, and d = q - 2 takes d Z[k] past 2^31
+    # on every field
     f = build_field(p, n)
-    for _ in range(3):
-        d, c, a = rng.randrange(1, 2 * f.q), rng.randrange(f.q), rng.randrange(1, f.q)
+    draws = [(rng.randrange(1, 2 * f.q), rng.randrange(f.q), rng.randrange(1, f.q))
+             for _ in range(3)]
+    draws.append((f.q - 2, rng.randrange(f.q), rng.randrange(1, f.q)))
+    for d, c, a in draws:
         hist = np.bincount(ddt_row(f, PowerMap(d), c, a), minlength=f.q + 1)
         for v, m in _a0_row_spectrum(f.q, d, c).items():
             hist[v] += m
@@ -438,6 +445,85 @@ def test_every_route_counts_an_integer_c_as_the_plain_int(route, c):
     assert got == want
     for report in got if isinstance(got, list) else [got]:
         assert type(report.c) is int
+
+
+@pytest.mark.parametrize("lookup", [False, True])
+def test_sweep_counts_any_iterable_of_integer_c_as_plain_ints(lookup):
+    # an integer c-set gets one range check and its c's come back as ints
+    f = build_field(3, 2)
+    func = as_lookup(f, PowerMap(3)) if lookup else PowerMap(3)
+    want = sweep(f, func, [1, 2, 5, 5])
+    for cs in ([True, 5, np.int64(2), 5], np.array([5, 2, 1, 5]),
+               np.array([5, 2, 1, 5], dtype=np.uint8), (c for c in (5, 5, 2, 1))):
+        got = sweep(f, func, cs)
+        assert got == want
+        assert all(type(r.c) is int for r in got)
+
+
+@pytest.mark.parametrize("bad", [2.0, "3", -1, 9, 2**70, None])
+@pytest.mark.parametrize("lookup", [False, True])
+def test_sweep_names_the_first_c_that_is_not_an_element(bad, lookup):
+    f = build_field(3, 2)
+    func = as_lookup(f, PowerMap(3)) if lookup else PowerMap(3)
+    message = re.escape(f"c = {bad!r} is not an element of GF(9): "
+                        "expected an int in [0, 9)")
+    for cs in ([bad], [0, bad, -2], (c for c in (4, True, bad, 7.5)),
+               np.array([1, bad], dtype=object)):
+        with pytest.raises(ValueError, match=message):
+            sweep(f, func, cs)
+    with pytest.raises(ValueError, match=message):
+        uniformity(f, func, bad)
+
+
+@pytest.mark.parametrize("lookup", [False, True])
+def test_sweep_names_an_array_entry_outside_the_field(lookup):
+    f = build_field(3, 2)
+    func = as_lookup(f, PowerMap(3)) if lookup else PowerMap(3)
+    for cs, bad in ((np.array([1, 9, -1]), np.int64(9)), (np.array([2, -1]), np.int64(-1))):
+        with pytest.raises(ValueError, match=re.escape(f"c = {bad!r} is not an element")):
+            sweep(f, func, cs)
+    for cs in ([], (), iter([]), np.array([], dtype=np.int64)):
+        with pytest.raises(ValueError, match="empty c-set"):
+            sweep(f, func, cs)
+
+
+def test_sweep_checks_c_once_and_calls_power_uniformity_once_per_c(monkeypatch):
+    # the per-c power_uniformity calls only read the counted reports; the
+    # c-set is checked once, c by c only to name a c that is not an element
+    f, calls = build_field(3, 2), Counter()
+
+    def spy(name):
+        fn = getattr(ddt, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(ddt, name, counted)
+
+    for name in ("_element", "check_exponent", "power_uniformity"):
+        spy(name)
+    cs = [0, 1, 2, 2, 5, 8]
+    assert [r.c for r in ddt.sweep(f, PowerMap(3), cs)] == cs
+    assert calls == {"power_uniformity": len(cs)}
+    calls.clear()
+    with pytest.raises(ValueError, match="c = 2.0"):
+        ddt.sweep(f, PowerMap(3), [0, True, 2.0, 9])
+    assert calls == {"_element": 3}
+
+
+@pytest.mark.parametrize("p,n", [(2, 17), (131071, 1), (2039, 2)])
+def test_orbit_keys_against_python_ints(p, n, rng):
+    # over GF(2039^2) the products t p pass 2^31 for most logs t, where an
+    # int32 product would wrap
+    f = build_field(p, n)
+    m = f.q - 1
+    cs = [0, 1, f.p - 1, int(f.exp[-1])] + [rng.randrange(f.q) for _ in range(200)]
+    want = []
+    for c in cs:
+        t = int(f.log[c])
+        want.append(-1 if c == 0 else min(min(t * p**i % m, -t * p**i % m)
+                                          for i in range(n)))
+    assert _orbit_keys(f, np.array(cs, dtype=np.int64)).tolist() == want
 
 
 @pytest.mark.parametrize("a,b", [(-1, 0), (9, 0), (0, -1), (0, 9), (1.5, 0)])

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from cdiff.field import Field, build_field, is_irreducible, is_prime
+from cdiff.funcs import PowerMap, value_table
 
-from conftest import (ORACLE_FIELDS, ref_add, ref_poly_mulmod, ref_eval_poly,
+from conftest import (ORACLE_FIELDS, RefField, ref_add, ref_poly_mulmod, ref_eval_poly,
                       ref_is_irreducible)
 
 
@@ -160,7 +161,7 @@ def test_exp_log_tables_match_schoolbook_walk(p, n, modulus):
     """exp[k+1] = exp[k] * g, walked with the reference mulmod, not the tables."""
     f = Field.build(p, n, modulus=modulus)
     mod, g = list(f.modulus), list(f.coeffs(f.generator))
-    assert f.exp.dtype == f.log.dtype == np.int64
+    assert f.exp.dtype == f.log.dtype == np.int32
     assert len(f.exp) == f.q - 1 and len(f.log) == f.q
     assert not (f.exp.flags.writeable or f.log.flags.writeable)
     assert int(f.exp[0]) == 1 and int(f.log[0]) == 0
@@ -229,6 +230,28 @@ def test_trace_examples():
         assert g.trace(1) == n % p
         for x in range(g.q):
             assert 0 <= g.trace(x) < p         # lands in the prime subfield
+
+
+@pytest.mark.parametrize("p,n", [(131071, 1), (2, 17), (2039, 2)])
+def test_trace_against_frobenius_sum_past_int32_products(p, n, rng):
+    # the logs are int32: log x * p^i passes 2^31 for i = 16 over GF(2^17)
+    # and i = 1 over GF(2039^2), and GF(131071) has p > 46341
+    f = build_field(p, n)
+    ref = RefField(f)
+    xs = [0, 1, f.p - 1, f.generator, int(f.exp[-1]), f.q - 1]
+    xs += [rng.randrange(f.q) for _ in range(100)]
+    want = [ref.trace(x) for x in xs]
+    assert [f.trace(x) for x in xs] == want
+    assert f.trace(np.array(xs, dtype=np.int64)).tolist() == want
+
+
+@pytest.mark.parametrize("p,n", [(2, 5), (3, 3), (131071, 1)])
+def test_arrays_of_encodings_are_int64_over_int32_tables(p, n):
+    f = build_field(p, n)
+    x, nonzero = f.elements(), f.elements()[1:]
+    for out in (x, f.add_v(x, 1), f.sub_v(x, 1), f.mul_v(x, x), f.mul_v(2, x),
+                f.inv(nonzero), f.trace(x), f.pow_all(3), value_table(f, PowerMap(3))):
+        assert out.dtype == np.int64
 
 
 def test_quadratic_character_examples():
