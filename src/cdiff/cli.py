@@ -49,21 +49,23 @@ def _print_csv(values) -> None:
 
 
 def _emit_reports(field: Field, d: int, reports: list[CDDTReport], csv: bool) -> None:
-    """Uniformity reports as JSON-lines records, or as a CSV header and rows."""
+    """Uniformity reports as JSON-lines records, or as a CSV header and rows.
+    A record is byte-identical to `_print_record` of its dict: keys in
+    sorted order, strings through json's ASCII encoder."""
     if csv:
         _print_csv(("p", "n", "d", "c", "uniformity", "classification", "spectrum"))
-    for report in reports:
-        if csv:
+        for report in reports:
             _print_csv((field.p, field.n, d, report.c, report.uniformity,
                         report.classification,
                         ";".join(f"{v}:{m}" for v, m in report.spectrum)))
-        else:
-            _print_record({"schema": SCHEMA, "record": "uniformity",
-                           "p": field.p, "n": field.n, "d": d, "c": report.c,
-                           "uniformity": report.uniformity,
-                           "classification": report.classification,
-                           "spectrum": [list(pair) for pair in report.spectrum],
-                           "mode": report.mode})
+        return
+    write = sys.stdout.write
+    for report in reports:
+        spectrum = ",".join(f"[{v},{m}]" for v, m in report.spectrum)
+        write(f'{{"c":{report.c},"classification":{_json_str(report.classification)},'
+              f'"d":{d},"mode":{_json_str(report.mode)},"n":{field.n},"p":{field.p},'
+              f'"record":"uniformity","schema":"{SCHEMA}","spectrum":[{spectrum}],'
+              f'"uniformity":{report.uniformity}}}\n')
 
 
 def _cmd_field(args) -> int:
@@ -112,18 +114,29 @@ def _json_int(value: int | None) -> str:
     return "null" if value is None else str(value)
 
 
-def _instance_line(case_json: str, result) -> str:
-    """An instance record, byte-identical to `_print_record` of its dict:
-    keys in sorted order, strings through json's ASCII encoder."""
-    inst, observed = result.instance, result.observed
-    if isinstance(observed, tuple):
-        observed = "[" + ",".join(map(str, observed)) + "]"
-    return (f'{{"c":{_json_int(inst.c)},"case":{case_json},'
-            f'"condition":{_json_str(inst.c_label)},"d":{inst.d},'
-            f'"k":{_json_int(inst.k)},"n":{inst.n},"observed":{observed},'
-            f'"ok":{"true" if result.ok else "false"},"p":{inst.p},'
-            f'"predicted":{_json_str(inst.predicted.render())},'
-            f'"record":"instance","schema":"{SCHEMA}"}}\n')
+def _instance_lines(report: theorems.VerificationReport) -> str:
+    """A row's instance records, each byte-identical to `_print_record` of its
+    dict: keys in sorted order, strings through json's ASCII encoder.  The
+    keys between "c" and "observed", and those after "ok", are one template
+    per run of instances that share (condition, d, k, n, p, prediction), as
+    the instances of one branch at one exponent do."""
+    case_json = _json_str(report.case_id)
+    key = mid = tail = None
+    lines = []
+    for result in report.results:
+        inst, observed = result.instance, result.observed
+        shared = (inst.c_label, inst.d, inst.k, inst.n, inst.p, inst.predicted)
+        if shared != key:
+            key = shared
+            mid = (f',"case":{case_json},"condition":{_json_str(inst.c_label)},'
+                   f'"d":{inst.d},"k":{_json_int(inst.k)},"n":{inst.n},"observed":')
+            tail = (f',"p":{inst.p},"predicted":{_json_str(inst.predicted.render())},'
+                    f'"record":"instance","schema":"{SCHEMA}"}}\n')
+        if isinstance(observed, tuple):
+            observed = "[" + ",".join(map(str, observed)) + "]"
+        lines.append(f'{{"c":{_json_int(inst.c)}{mid}{observed},'
+                     f'"ok":{"true" if result.ok else "false"}{tail}')
+    return "".join(lines)
 
 
 def _no_instance_error(case_ids: list[str] | None, max_size: int) -> ValueError:
@@ -135,20 +148,20 @@ def _no_instance_error(case_ids: list[str] | None, max_size: int) -> ValueError:
 
 
 def _cmd_verify(args) -> int:
+    """Write each row's records as soon as the row is checked."""
     ids = [args.case] if args.case else None
-    reports = [r for r in theorems.verify_all(case_ids=ids, max_size=args.max_size)
-               if r.results]      # a row whose grid --max-size drops prints nothing
-    if not reports:
-        raise _no_instance_error(ids, args.max_size)
-    failed = False
-    for report in reports:
-        case_json = _json_str(report.case_id)
-        sys.stdout.write("".join(_instance_line(case_json, r) for r in report.results))
+    printed = failed = False
+    for report in theorems.verify_all(case_ids=ids, max_size=args.max_size):
+        if not report.results:      # a row whose grid --max-size drops prints nothing
+            continue
+        sys.stdout.write(_instance_lines(report))
         _print_record({"schema": SCHEMA, "record": "case-verdict",
                        "case": report.case_id, "passed": report.passed,
                        "instances": len(report.results),
                        "max_attained": report.max_attained})
-        failed = failed or not report.passed
+        printed, failed = True, failed or not report.passed
+    if not printed:
+        raise _no_instance_error(ids, args.max_size)
     return 1 if failed else 0
 
 

@@ -35,9 +35,14 @@ relabeling of the a = 1 row, so c and 1/c have the same spectrum too.  A
 a whole c-set, keys each c by the least of +-log(c) p^i mod q-1, and counts
 the orbits it has not seen in slabs of about 2^16 / q c-rows, each slab one
 gather and two offset bincounts.  Every other member of an orbit gets a copy
-of its report with c replaced.  A context lives for one `sweep`, or, in
-`theorems.verify_all`, for the run of rows whose grids share its
-(p, n, d).
+of its report with c replaced.
+
+Exponents are shared the same way.  x^(dp) = (x^d)^p composes x^d with the
+Frobenius, so its count at c is that of x^d at c^(1/p), in c's orbit, and
+x^(d + q-1) is the map x^d.  Every exponent of the class {d p^i mod q-1}
+thus has the reports of x^d, and contexts are keyed by `context_key`,
+(p, n, least d p^i mod q-1).  A context lives for one `sweep`, or, in
+`theorems.verify_all`, for the run of rows whose grids share its key.
 """
 
 from __future__ import annotations
@@ -82,6 +87,19 @@ def _report(c: int, hist: np.ndarray, mode: str) -> CDDTReport:
     return CDDTReport(c=c, uniformity=u,
                       spectrum=tuple(zip(values.tolist(), hist[values].tolist())),
                       classification=classification_of(u), mode=mode)
+
+
+def _slab_reports(cs: list[int], hists: np.ndarray, mode: str) -> list[CDDTReport]:
+    """`_report(c, row, mode)` for each c of `cs` and row of `hists`, from
+    one `np.nonzero` over the whole slab (every row has a nonzero entry)."""
+    rows, values = np.nonzero(hists)
+    pairs = list(zip(values.tolist(), hists[rows, values].tolist()))
+    out, start = [], 0
+    for c, end in zip(cs, np.cumsum(np.bincount(rows, minlength=len(cs))).tolist()):
+        u = pairs[end - 1][0]
+        out.append(CDDTReport(c, u, tuple(pairs[start:end]), classification_of(u), mode))
+        start = end
+    return out
 
 
 def _element(field: Field, name: str, value) -> int:
@@ -236,7 +254,8 @@ def _log_terms(field: Field, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
 
 
 class _PowerContext:
-    """Reports of x^d over one field, shared by the sweeps of one (field, d).
+    """Reports of x^d over one field, shared by the sweeps of the exponents
+    in d's class (`context_key`).
 
     `reports` holds one report per orbit of c, keyed by `_orbit_keys`, and
     `key_of` maps each c counted so far to its orbit's key.  For x = g^k
@@ -268,7 +287,7 @@ class _PowerContext:
             hist = np.zeros(q + 1, dtype=np.int64)
             for v, number in _image_counts(q, d):
                 hist[v] += 2 * number
-            self.reports[-1] = _report(0, hist, "power-reduced")
+            self.reports[-1] = _slab_reports([0], hist[None], "power-reduced")[0]
         if not todo:
             return
         zech, ls, diff = _log_terms(f, d)
@@ -298,8 +317,8 @@ class _PowerContext:
             del rows
             for v, number in _image_counts(q, d):           # a = 0 row: (1-c) x^d = b
                 hists[c != 1, v] += number
-            for key, rep, hist in zip(order[lo:lo + block], c.tolist(), hists):
-                self.reports[key] = _report(rep, hist, "power-reduced")
+            self.reports.update(zip(order[lo:lo + block],
+                                    _slab_reports(c.tolist(), hists, "power-reduced")))
 
 
 def power_uniformity(field: Field, d: int, c: int,
@@ -336,19 +355,26 @@ def _c_list(field: Field, c_values) -> list[int]:
     return sorted(map(int, values))
 
 
+def context_key(field: Field, d: int) -> tuple[int, int, int]:
+    """(p, n, least d p^i mod q-1): equal for exactly the exponents whose
+    power maps over `field` have the same reports at every c."""
+    m, d = field.q - 1, int(d)
+    return field.p, field.n, min(d * field.p**i % m for i in range(field.n))
+
+
 def sweep(field: Field, func: FunctionSpec, c_values,
           _contexts: dict | None = None) -> list[CDDTReport]:
     """Independent reports for every c, in canonical element order.
-    `_contexts` maps (p, n, d) to the power context to count in, so that the
-    sweeps of `theorems.verify_all` that share a field and exponent count
-    each orbit once."""
+    `_contexts` maps `context_key`s to the power contexts to count in, so
+    that the sweeps of `theorems.verify_all` whose exponents share a class
+    count each orbit once."""
     cs = _c_list(field, c_values)
     if not cs:
         raise ValueError("empty c-set")
     if isinstance(func, PowerMap):
         ctx = _PowerContext(field, func.d)
         if _contexts is not None:
-            ctx = _contexts.setdefault((field.p, field.n, func.d), ctx)
+            ctx = _contexts.setdefault(context_key(field, func.d), ctx)
         ctx.count(cs)
         return [power_uniformity(field, func.d, c, _ctx=ctx) for c in cs]
     return [general_uniformity(field, func, c) for c in cs]

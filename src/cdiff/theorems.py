@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Union
+from typing import Callable, Iterator, NamedTuple, Union
 
 import numpy as np
 
 from cdiff.field import Field, build_field, DEFAULT_SIZE_CAP
-from cdiff.ddt import sweep
+from cdiff.ddt import context_key, sweep
 from cdiff.funcs import PowerMap
 
 
@@ -469,7 +469,7 @@ def verify_case(case: Row, instances: list[Instance] | None = None,
                 _contexts: dict | None = None) -> VerificationReport:
     """Check every instance of a case; reports (never raises) on prediction
     failure.  `_contexts` holds the power contexts that `verify_all` shares
-    between rows, keyed by (p, n, d)."""
+    between rows, keyed by `ddt.context_key`."""
     if instances is None:
         instances = case.default_instances(max_size)
     groups: dict[tuple, list[Instance]] = {}
@@ -486,19 +486,20 @@ def verify_case(case: Row, instances: list[Instance] | None = None,
 
 
 def verify_all(case_ids: list[str] | None = None,
-               max_size: int = DEFAULT_SIZE_CAP) -> list[VerificationReport]:
-    """Verify the named cases, or the whole registry.  Rows that share a
-    (p, n, d) share its power context, so each orbit of c is counted once;
-    a context is dropped after the last row whose grid has its key."""
+               max_size: int = DEFAULT_SIZE_CAP) -> Iterator[VerificationReport]:
+    """Verify the named cases, or the whole registry, yielding each row's
+    report as soon as it is checked.  Rows whose exponents share a class
+    over a field share its power context (`ddt.context_key`), so each orbit
+    of c is counted once; a context is dropped after the last row whose grid
+    has its key."""
     cases = ([case_by_id(cid) for cid in case_ids] if case_ids else registry())
-    last_row = {(f.p, f.n, d): i for i, case in enumerate(cases)
+    last_row = {context_key(f, d): i for i, case in enumerate(cases)
                 for f, d, _ in case.exponents(max_size)}
     contexts: dict = {}
-    reports = []
     for i, case in enumerate(cases):
-        reports.append(verify_case(case, max_size=max_size, _contexts=contexts))
+        report = verify_case(case, max_size=max_size, _contexts=contexts)
         contexts = {key: ctx for key, ctx in contexts.items() if last_row[key] > i}
-    return reports
+        yield report
 
 
 # ---------------------------------------------------------------------------

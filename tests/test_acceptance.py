@@ -221,7 +221,7 @@ def test_determinism(capsys):
 
 @criterion("registry-full-grid")
 def test_every_registry_row_passes_default_grid():
-    reports = theorems.verify_all()
+    reports = list(theorems.verify_all())
     failing = [r.case_id for r in reports if not r.passed]
     assert not failing, failing
     return f"{len(reports)} cases"

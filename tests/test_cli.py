@@ -112,6 +112,20 @@ def test_sweep_stream_and_csv(capsys):
     assert len(lines) == 9
 
 
+@pytest.mark.parametrize("argv", [
+    ("sweep", "-p", "3", "-n", "4", "-d", "4", "--c-set", "not-pm-one"),
+    ("sweep", "-p", "2", "-n", "1", "-d", "3"),
+    ("uniformity", "-p", "2", "-n", "10", "-d", "7", "-c", "g"),
+    ("spectrum", "-p", "5", "-n", "2", "-d", "2", "-c", "0")])
+def test_uniformity_lines_are_sorted_key_json(capsys, argv):
+    # the report emitter writes its keys in a fixed order; each line must be
+    # what json.dumps(sort_keys=True) makes of it
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and out
+    for line in out.splitlines():
+        assert line == json.dumps(json.loads(line), sort_keys=True, separators=(",", ":"))
+
+
 def test_sweep_thread_count_does_not_change_bytes(capsys):
     args = ["sweep", "-p", "3", "-n", "3", "-d", "24", "--c-set", "not-pm-one"]
     _, out1, _ = run_cli(capsys, *args, "--threads", "1")
@@ -153,6 +167,30 @@ def test_verify_reports_only_rows_with_instances(capsys):
     assert 0 < len(with_instances) < len(theorems.registry())
     assert [r["case"] for r in verdicts] == with_instances
     assert all(r["instances"] > 0 for r in verdicts)
+
+
+def test_verify_writes_each_row_before_checking_the_next(capsys, monkeypatch):
+    # written[i] is the stdout between the checks of rows i - 1 and i, and the
+    # last entry what followed the last check
+    written, check = [], theorems.verify_case
+
+    def spy(case, **kwargs):
+        written.append(capsys.readouterr().out)
+        return check(case, **kwargs)
+
+    monkeypatch.setattr(theorems, "verify_case", spy)
+    code = main(["verify", "--max-size", "250"])
+    written.append(capsys.readouterr().out)
+    assert code == 0
+    rows = theorems.registry()
+    assert len(written) == len(rows) + 1 and written[0] == ""
+    for row, out in zip(rows, written[1:]):
+        recs = records(out)
+        if not row.default_instances(250):
+            assert recs == []
+            continue
+        assert {r["case"] for r in recs} == {row.id}
+        assert [r["record"] for r in recs] == ["instance"] * (len(recs) - 1) + ["case-verdict"]
 
 
 def test_verify_unknown_case_is_usage_error(capsys):

@@ -10,7 +10,7 @@ from cdiff.field import Field, build_field, is_prime
 from cdiff.funcs import LookupTable, PowerMap, as_lookup
 from cdiff import ddt
 from cdiff.ddt import (delta_count, ddt_row, general_uniformity, power_uniformity,
-                       uniformity, sweep, c_set, _orbit_keys, _plus_one)
+                       uniformity, sweep, c_set, context_key, _orbit_keys, _plus_one)
 
 from conftest import ORACLE_FIELDS, brute_delta_count, brute_uniformity
 
@@ -141,13 +141,56 @@ def test_sweep_reports_equal_single_and_general_reports(p, n):
         for cs in (low, high):
             shared = sweep(f, PowerMap(d), cs, _contexts=contexts)
             assert shared == sweep(f, PowerMap(d), cs)
-        assert list(contexts) == [(p, n, d)]
+        # the key is d's exponent class; at GF(2), q - 1 = 1 and every class is 0
+        assert list(contexts) == [(p, n, min(d * p**i % (f.q - 1) for i in range(n)))]
         for rep in reports:
             assert rep == power_uniformity(f, d, rep.c), (p, n, d, rep.c)
             key = (lookup, rep.c)
             if key not in general:
                 general[key] = general_uniformity(f, lookup, rep.c)
             _assert_spectra_agree(f, d, rep, general[key])
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (2, 4), (3, 3), (5, 2), (7, 1)])
+def test_context_key_is_the_exponent_class(p, n):
+    # d, d p^i and d + (q-1) share a class, d = 0 mod q-1 included, and
+    # exponents in different classes get different keys
+    f = build_field(p, n)
+    m = f.q - 1
+    for d in range(1, 2 * f.q):
+        key = context_key(f, d)
+        assert key[:2] == (p, n) and 0 <= key[2] < m
+        for e in [d * p**i for i in range(2 * n)] + [d + m, d + 3 * m]:
+            assert context_key(f, e) == key, (p, n, d, e)
+        for e in range(1, f.q):
+            same = any((d - e * p**i) % m == 0 for i in range(n))
+            assert (context_key(f, e) == key) == same, (p, n, d, e)
+    assert context_key(f, m) == context_key(f, 2 * m) == context_key(f, m * p) == (p, n, 0)
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (2, 5), (3, 3), (5, 2)])
+def test_sweeps_sharing_a_context_across_a_class_equal_fresh_sweeps(p, n):
+    f = build_field(p, n)
+    m = f.q - 1
+    for d in range(1, f.q):
+        contexts = {}
+        for e in (d, d * p**(n - 1), d + m, d * p + 2 * m):
+            cs = range(e % f.q, f.q)
+            assert sweep(f, PowerMap(e), cs, _contexts=contexts) == sweep(f, PowerMap(e), cs)
+        assert list(contexts) == [context_key(f, d)]
+
+
+def test_slab_reports_equal_one_report_per_row():
+    gen = np.random.default_rng(20210419)
+    for rows, width, density in ((1, 2, 0.5), (7, 9, 0.3), (40, 258, 0.05), (64, 1025, 0.9)):
+        hists = gen.integers(1, 50, (rows, width)) * (gen.random((rows, width)) < density)
+        hists[np.arange(rows), gen.integers(0, width, rows)] += 1   # no empty row
+        hists[0] = 0
+        hists[0, 0] = 3                                             # a row with v = 0 only
+        cs = gen.integers(0, 10**6, rows).tolist()
+        for mode in ("full", "power-reduced"):
+            assert (ddt._slab_reports(cs, hists, mode)
+                    == [ddt._report(c, hist, mode) for c, hist in zip(cs, hists)])
 
 
 @pytest.mark.parametrize("p,n,modulus", ORACLE_FIELDS)

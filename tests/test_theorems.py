@@ -197,7 +197,7 @@ def test_verify_case_threads_deterministic():
 
 
 def test_verify_all_filter_and_max_size():
-    reports = verify_all(case_ids=["square", "bt-rows"], max_size=150)
+    reports = list(verify_all(case_ids=["square", "bt-rows"], max_size=150))
     assert [r.case_id for r in reports] == ["square", "bt-rows"]
     assert all(r.passed for r in reports)
     for r in reports:
@@ -205,31 +205,34 @@ def test_verify_all_filter_and_max_size():
 
 
 def test_verify_all_equals_one_verify_case_per_row():
-    # rows that share a (p, n, d) share its power context within verify_all
-    assert verify_all(max_size=250) == [verify_case(case, max_size=250)
-                                        for case in registry()]
+    # rows whose exponents share a class over a field share its power context
+    # within verify_all
+    assert list(verify_all(max_size=250)) == [verify_case(case, max_size=250)
+                                              for case in registry()]
 
 
 def test_verify_all_counts_each_orbit_once(monkeypatch):
-    # one count per distinct (p, n, d, orbit of c under c -> c^p, c -> 1/c)
+    # one count per distinct (p, n, class of d, orbit of c), with the class
+    # {d p^i mod q-1} and the orbit of c under c -> c^p and c -> 1/c
     keys = set()
     for case in registry():
         for inst in case.default_instances(DEFAULT_SIZE_CAP):
             f, m = build_field(inst.p, inst.n), inst.p ** inst.n - 1
+            d_class = min(inst.d * inst.p**i % m for i in range(inst.n))
             for c in (inst.c,) if inst.c is not None else inst.c_values:
                 k = int(f.log[c])
                 key = -1 if c == 0 else min(s * k * inst.p**i % m
                                             for i in range(inst.n) for s in (1, -1))
-                keys.add((inst.p, inst.n, inst.d, key))
-    counted, report = [], ddt._report
+                keys.add((inst.p, inst.n, d_class, key))
+    counted, slab_reports = [], ddt._slab_reports
 
-    def counting_report(*args):
-        counted.append(args)
-        return report(*args)
+    def counting_slab_reports(cs, hists, mode):
+        counted.extend(cs)
+        return slab_reports(cs, hists, mode)
 
-    monkeypatch.setattr(ddt, "_report", counting_report)
+    monkeypatch.setattr(ddt, "_slab_reports", counting_slab_reports)
     assert all(r.passed for r in verify_all())
-    assert len(counted) == len(keys) == 2631
+    assert len(counted) == len(keys) == 2328
 
 
 def test_reproduce_table_rows():
