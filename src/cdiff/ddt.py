@@ -32,17 +32,18 @@ Frobenius x -> x^p, c and c^p have the same spectrum.  For any F and c != 0,
 to those of F(y-a) - F(y)/c = -b/c, and for x^d the a = -1 row is a
 relabeling of the a = 1 row, so c and 1/c have the same spectrum too.  A
 `_PowerContext` holds one report per orbit for one (field, d): `count` takes
-a whole c-set, keys each c by the least of +-log(c) p^i mod q-1, and counts
-the orbits it has not seen in slabs of about 2^16 / q c-rows, each slab one
-gather and two offset bincounts.  Every other member of an orbit gets a copy
-of its report with c replaced.
+the field and a whole c-set, keys each c by the least of +-log(c) p^i
+mod q-1, and counts the orbits it has not seen in slabs of about 2^16 / q
+c-rows, each slab one gather and two offset bincounts.  Every other member
+of an orbit gets a copy of its report with c replaced.
 
 Exponents are shared the same way.  x^(dp) = (x^d)^p composes x^d with the
 Frobenius, so its count at c is that of x^d at c^(1/p), in c's orbit, and
 x^(d + q-1) is the map x^d.  Every exponent of the class {d p^i mod q-1}
-thus has the reports of x^d, and contexts are keyed by `context_key`,
-(p, n, least d p^i mod q-1).  A context lives for one `sweep`, or, in
-`theorems.verify_all`, for the run of rows whose grids share its key.
+thus has the reports of x^d.  Contexts live in one process-wide cache,
+`_CONTEXTS`, keyed by `context_key`, (p, n, least d p^i mod q-1), and the
+modulus, which fixes the encoding, so a process counts each orbit once per
+exponent class and field, whichever rows, commands or callers ask for it.
 """
 
 from __future__ import annotations
@@ -79,19 +80,10 @@ class CDDTReport(NamedTuple):
     mode: str
 
 
-def _report(c: int, hist: np.ndarray, mode: str) -> CDDTReport:
-    """Report from `hist[v]` = how many counted entries equal v; the
-    uniformity is the largest v that occurs."""
-    values = np.flatnonzero(hist)
-    u = int(values[-1])
-    return CDDTReport(c=c, uniformity=u,
-                      spectrum=tuple(zip(values.tolist(), hist[values].tolist())),
-                      classification=classification_of(u), mode=mode)
-
-
 def _slab_reports(cs: list[int], hists: np.ndarray, mode: str) -> list[CDDTReport]:
-    """`_report(c, row, mode)` for each c of `cs` and row of `hists`, from
-    one `np.nonzero` over the whole slab (every row has a nonzero entry)."""
+    """The report of each c of `cs` from its row of `hists`, where row[v]
+    counts the entries equal to v (the uniformity is the largest such v),
+    from one `np.nonzero` over the slab (every row has a nonzero entry)."""
     rows, values = np.nonzero(hists)
     pairs = list(zip(values.tolist(), hists[rows, values].tolist()))
     out, start = [], 0
@@ -192,7 +184,7 @@ def general_uniformity(field: Field, func: FunctionSpec, c: int) -> CDDTReport:
             deltas += offsets[:rows]
         counts = np.bincount(deltas.ravel(), minlength=rows * q)
         hist += np.bincount(counts, minlength=q + 1)
-    return _report(c, hist, "full")
+    return _slab_reports([c], hist[None], "full")[0]
 
 
 def _image_counts(q: int, d: int) -> tuple[tuple[int, int], ...]:
@@ -257,31 +249,36 @@ class _PowerContext:
     """Reports of x^d over one field, shared by the sweeps of the exponents
     in d's class (`context_key`).
 
-    `reports` holds one report per orbit of c, keyed by `_orbit_keys`, and
-    `key_of` maps each c counted so far to its orbit's key.  For x = g^k
-    outside {0, -1}, (x+1)^d - c x^d = g^ls (1 + g^(D + log(-c))) with the
-    `_log_terms` ls and D; those arrays live only while `count` runs.
+    `reports` holds one report per orbit of c, keyed by `_orbit_keys`.  For
+    x = g^k outside {0, -1}, (x+1)^d - c x^d = g^ls (1 + g^(D + log(-c)))
+    with the `_log_terms` ls and D; those arrays live only while `count`
+    runs.  The context keeps neither its field nor any per-c entry, so a
+    cached context holds one report per orbit counted and nothing else.
     """
 
-    def __init__(self, field: Field, d: int):
-        self.field, self.d = field, int(d)
+    def __init__(self, d: int):
+        self.d = int(d)
         self.reports: dict[int, CDDTReport] = {}
-        self.key_of: dict[int, int] = {}
 
-    def count(self, cs) -> None:
-        """Count the a = 1 row, plus the a = 0 row if c != 1, once for each
-        orbit of `cs` that has no report yet."""
-        f, d = self.field, self.d
-        q, m = f.q, f.q - 1
-        new = [c for c in dict.fromkeys(cs) if c not in self.key_of]
-        if not new:
-            return
-        keys = _orbit_keys(f, np.array(new, dtype=np.int64)).tolist()
-        self.key_of.update(zip(new, keys))
+    def count(self, f: Field, cs) -> dict[int, CDDTReport]:
+        """The report of c's orbit for each c of `cs` over the field `f`,
+        counting the a = 1 row, plus the a = 0 row if c != 1, once for each
+        orbit that has no report yet.  Reports are stored a slab at a time,
+        so a count cut short keeps only whole reports."""
+        cs = list(dict.fromkeys(cs))
+        keys = _orbit_keys(f, np.array(cs, dtype=np.int64)).tolist()
         todo = {}                           # orbit key -> its first c
-        for c, key in zip(new, keys):
+        for c, key in zip(cs, keys):
             if key not in self.reports:
                 todo.setdefault(key, c)
+        if todo:
+            self._count_orbits(f, todo)
+        return {c: self.reports[key] for c, key in zip(cs, keys)}
+
+    def _count_orbits(self, f: Field, todo: dict[int, int]) -> None:
+        """Count the orbit of each c of `todo`, keyed by its orbit key."""
+        d = self.d
+        q, m = f.q, f.q - 1
         if -1 in todo:      # c = 0: (x+1)^d = b and the a = 0 row count preimages
             del todo[-1]
             hist = np.zeros(q + 1, dtype=np.int64)
@@ -322,17 +319,16 @@ class _PowerContext:
 
 
 def power_uniformity(field: Field, d: int, c: int,
-                     _ctx: _PowerContext | None = None) -> CDDTReport:
+                     _ctx: dict[int, CDDTReport] | None = None) -> CDDTReport:
     """Uniformity of x^d at c from the a = 1 row plus the a = 0 gcd term.
-    `_ctx` is the context that `sweep` shares between its calls, and the call
-    only reads c's report from it: `sweep` has checked d and c and counted c
-    there.  Without one, the call checks d and c, and builds and counts a
-    context of its own."""
+    `sweep` passes `_ctx`, the orbit reports that the cached context's
+    `count` returned for its c's after checking d and the c's, and the call
+    only reads c's report.  Without one, the call checks d and c and counts
+    c in the cached context."""
     if _ctx is None:
         d, c = check_exponent(d), _element(field, "c", c)
-        _ctx = _PowerContext(field, d)
-        _ctx.count([c])
-    rep = _ctx.reports[_ctx.key_of[c]]
+        _ctx = _context(field, d).count(field, [c])
+    rep = _ctx[c]
     if rep.c != c:
         rep = CDDTReport(c, rep.uniformity, rep.spectrum, rep.classification, rep.mode)
     return rep
@@ -362,21 +358,28 @@ def context_key(field: Field, d: int) -> tuple[int, int, int]:
     return field.p, field.n, min(d * field.p**i % m for i in range(field.n))
 
 
-def sweep(field: Field, func: FunctionSpec, c_values,
-          _contexts: dict | None = None) -> list[CDDTReport]:
-    """Independent reports for every c, in canonical element order.
-    `_contexts` maps `context_key`s to the power contexts to count in, so
-    that the sweeps of `theorems.verify_all` whose exponents share a class
-    count each orbit once."""
+_CONTEXTS: dict[tuple, _PowerContext] = {}
+
+
+def _context(field: Field, d: int) -> _PowerContext:
+    """The cached context of d's class over `field`, made on a miss."""
+    key = (*context_key(field, d), field.modulus)
+    ctx = _CONTEXTS.get(key)
+    if ctx is None:
+        ctx = _CONTEXTS[key] = _PowerContext(d)
+    return ctx
+
+
+def sweep(field: Field, func: FunctionSpec, c_values) -> list[CDDTReport]:
+    """Independent reports for every c, in canonical element order.  A power
+    map counts in the cached context of its exponent class, so only the
+    orbits no earlier call has counted are counted."""
     cs = _c_list(field, c_values)
     if not cs:
         raise ValueError("empty c-set")
     if isinstance(func, PowerMap):
-        ctx = _PowerContext(field, func.d)
-        if _contexts is not None:
-            ctx = _contexts.setdefault(context_key(field, func.d), ctx)
-        ctx.count(cs)
-        return [power_uniformity(field, func.d, c, _ctx=ctx) for c in cs]
+        reports = _context(field, func.d).count(field, cs)
+        return [power_uniformity(field, func.d, c, _ctx=reports) for c in cs]
     return [general_uniformity(field, func, c) for c in cs]
 
 

@@ -306,7 +306,7 @@ class Field:
         """1/a, for an int or an int64 array of encodings."""
         if np.any(a == 0):
             raise ZeroDivisionError("inversion of zero")
-        return _like(a, self.exp[-self.log_v(a) % (self.q - 1)].astype(np.int64))
+        return _like(a, self.exp[-self.log[a] % (self.q - 1)].astype(np.int64))
 
     def pow(self, a: int, e: int) -> int:
         """a^e for integer e >= 0; pow(x, 0) = 1 for every x, pow(0, e) = 0
@@ -333,14 +333,14 @@ class Field:
         """0 at 0, +1 on nonzero squares, -1 on non-squares (odd p only)."""
         if self.p == 2:
             raise ValueError("quadratic character requires odd characteristic")
-        return _like(x, np.where(x == 0, 0, 1 - 2 * (self.log_v(x) % 2)))
+        return _like(x, np.where(x == 0, 0, (1 - 2 * (self.log[x] % 2)).astype(np.int64)))
 
     def in_subfield(self, x, m: int):
         """Membership of x in the subfield GF(p^m); m must divide n.  The
         logs of GF(p^m)* are the multiples of (q-1)/(p^m-1), and log 0 = 0."""
         if self.n % m != 0:
             raise ValueError(f"GF({self.p}^{m}) is not a subfield of GF({self.p}^{self.n})")
-        return _like(x, self.log_v(x) % ((self.q - 1) // (self.p**m - 1)) == 0)
+        return _like(x, self.log[x] % ((self.q - 1) // (self.p**m - 1)) == 0)
 
     # -- vectorized arithmetic (int64 arrays of encodings) -------------------
 

@@ -22,7 +22,7 @@ from typing import Callable, Iterator, NamedTuple, Union
 import numpy as np
 
 from cdiff.field import Field, build_field, DEFAULT_SIZE_CAP
-from cdiff.ddt import context_key, sweep
+from cdiff.ddt import sweep
 from cdiff.funcs import PowerMap
 
 
@@ -446,13 +446,13 @@ def applicable_cases(field: Field, d: int, c: int) -> list[Row]:
 # Verification engine
 # ---------------------------------------------------------------------------
 
-def _evaluate_group(key, instances, contexts):
+def _evaluate_group(key, instances):
     """One `sweep` over every c the group's instances ask for, repeats kept."""
     p, n, d = key
     cs = [c for inst in instances
           for c in ((inst.c,) if inst.c is not None else inst.c_values)]
     observed_at = {r.c: r.uniformity
-                   for r in sweep(build_field(p, n), PowerMap(d), cs, _contexts=contexts)}
+                   for r in sweep(build_field(p, n), PowerMap(d), cs)}
     out = []
     for inst in instances:
         if inst.c is not None:
@@ -465,18 +465,19 @@ def _evaluate_group(key, instances, contexts):
 
 
 def verify_case(case: Row, instances: list[Instance] | None = None,
-                max_size: int = DEFAULT_SIZE_CAP,
-                _contexts: dict | None = None) -> VerificationReport:
+                max_size: int = DEFAULT_SIZE_CAP) -> VerificationReport:
     """Check every instance of a case; reports (never raises) on prediction
-    failure.  `_contexts` holds the power contexts that `verify_all` shares
-    between rows, keyed by `ddt.context_key`."""
+    failure.  Each (field, d) group is one `ddt.sweep`, which counts only the
+    orbits of c that no earlier sweep in the process has counted for d's
+    exponent class, so rows that share a field and an exponent class count
+    each orbit once, on or off their grids."""
     if instances is None:
         instances = case.default_instances(max_size)
     groups: dict[tuple, list[Instance]] = {}
     for inst in instances:
         groups.setdefault((inst.p, inst.n, inst.d), []).append(inst)
     results = tuple(r for key in sorted(groups)
-                    for r in _evaluate_group(key, groups[key], _contexts))
+                    for r in _evaluate_group(key, groups[key]))
     bad = tuple(r for r in results if not r.ok)
     ub_observed = [r.observed for r in results
                    if isinstance(r.instance.predicted, UpperBound)]
@@ -488,18 +489,10 @@ def verify_case(case: Row, instances: list[Instance] | None = None,
 def verify_all(case_ids: list[str] | None = None,
                max_size: int = DEFAULT_SIZE_CAP) -> Iterator[VerificationReport]:
     """Verify the named cases, or the whole registry, yielding each row's
-    report as soon as it is checked.  Rows whose exponents share a class
-    over a field share its power context (`ddt.context_key`), so each orbit
-    of c is counted once; a context is dropped after the last row whose grid
-    has its key."""
+    report as soon as it is checked."""
     cases = ([case_by_id(cid) for cid in case_ids] if case_ids else registry())
-    last_row = {context_key(f, d): i for i, case in enumerate(cases)
-                for f, d, _ in case.exponents(max_size)}
-    contexts: dict = {}
-    for i, case in enumerate(cases):
-        report = verify_case(case, max_size=max_size, _contexts=contexts)
-        contexts = {key: ctx for key, ctx in contexts.items() if last_row[key] > i}
-        yield report
+    for case in cases:
+        yield verify_case(case, max_size=max_size)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,8 @@ import random
 
 import pytest
 
+from cdiff import ddt
+
 
 # (p, n, modulus) of the fields whose tables are checked against the oracles;
 # modulus None is the deterministic one
@@ -194,6 +196,28 @@ def brute_uniformity(field, eval_fn, c):
             counts[b] = counts.get(b, 0) + 1
         best = max(best, max(counts.values()))
     return best
+
+
+@pytest.fixture(autouse=True)
+def cold_contexts():
+    """Start every test with no cached power context, so that what a test
+    counts does not depend on which tests ran before it."""
+    ddt._CONTEXTS.clear()
+
+
+@pytest.fixture
+def counted_rows(monkeypatch):
+    """The c of every report that `ddt` counts during the test, power-route
+    row or general scan, from a spy on `ddt._slab_reports`, which builds
+    each counted report."""
+    counted, slab_reports = [], ddt._slab_reports
+
+    def counting_slab_reports(cs, hists, mode):
+        counted.extend(cs)
+        return slab_reports(cs, hists, mode)
+
+    monkeypatch.setattr(ddt, "_slab_reports", counting_slab_reports)
+    return counted
 
 
 @pytest.fixture

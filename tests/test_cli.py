@@ -378,6 +378,17 @@ def test_table_matches_golden_fixture(capsys):
     assert out == golden
 
 
+def test_table_after_verify_counts_no_orbit_and_matches_golden_fixture(capsys, counted_rows):
+    # `verify` counts every orbit the registry asks for, so a `table` run
+    # after it in the same process reads all its reports from the cache
+    code, _, _ = run_cli(capsys, "verify")
+    assert code == 0 and counted_rows
+    counted_rows.clear()
+    code, out, _ = run_cli(capsys, "table", "--max-size", "250")
+    assert code == 0 and counted_rows == []
+    assert out == (FIXTURES / "table_small.md").read_text()
+
+
 def test_table_csv_headers(capsys):
     code, out, _ = run_cli(capsys, "table", "--max-size", "50", "--csv")
     assert code == 0

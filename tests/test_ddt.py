@@ -1,5 +1,7 @@
+import gc
 import math
 import re
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -9,8 +11,9 @@ from hypothesis import given, settings, strategies as st
 from cdiff.field import Field, build_field, is_prime
 from cdiff.funcs import LookupTable, PowerMap, as_lookup
 from cdiff import ddt
-from cdiff.ddt import (delta_count, ddt_row, general_uniformity, power_uniformity,
-                       uniformity, sweep, c_set, context_key, _orbit_keys, _plus_one)
+from cdiff.ddt import (CDDTReport, classification_of, delta_count, ddt_row,
+                       general_uniformity, power_uniformity, uniformity, sweep, c_set,
+                       context_key, _orbit_keys, _plus_one)
 
 from conftest import ORACLE_FIELDS, brute_delta_count, brute_uniformity
 
@@ -127,23 +130,27 @@ def _assert_spectra_agree(f, d, fast, slow):
 def test_sweep_reports_equal_single_and_general_reports(p, n):
     # a sweep counts one c per orbit under c -> c^p and c -> 1/c and copies
     # that report to the orbit's other members; every copy must equal a call
-    # without a shared context and agree with the general route on the whole
-    # spectrum, and sweeps that share a context over overlapping c-sets, with
-    # repeats, must equal fresh sweeps
+    # that counts c in a cold cache and agree with the general route on the
+    # whole spectrum, and sweeps that share a context over overlapping
+    # c-sets, with repeats, must equal fresh sweeps
     f = build_field(p, n)
     general = {}
     low, high = list(range(2 * f.q // 3 + 1)), list(range(f.q // 3, f.q)) + [1, f.q - 1]
     for d in range(1, 2 * f.q + 1):
         lookup = as_lookup(f, PowerMap(d))    # d and d + q - 1 share a table
+        ddt._CONTEXTS.clear()
+        shared = [sweep(f, PowerMap(d), cs) for cs in (low, high)]
+        # the key is d's exponent class and the modulus; at GF(2), q - 1 = 1
+        # and every class is 0
+        assert list(ddt._CONTEXTS) == [
+            (p, n, min(d * p**i % (f.q - 1) for i in range(n)), f.modulus)]
+        for cs, got in zip((low, high), shared):
+            ddt._CONTEXTS.clear()
+            assert got == sweep(f, PowerMap(d), cs)
         reports = sweep(f, PowerMap(d), range(f.q))
         assert [r.c for r in reports] == list(range(f.q))
-        contexts = {}
-        for cs in (low, high):
-            shared = sweep(f, PowerMap(d), cs, _contexts=contexts)
-            assert shared == sweep(f, PowerMap(d), cs)
-        # the key is d's exponent class; at GF(2), q - 1 = 1 and every class is 0
-        assert list(contexts) == [(p, n, min(d * p**i % (f.q - 1) for i in range(n)))]
         for rep in reports:
+            ddt._CONTEXTS.clear()
             assert rep == power_uniformity(f, d, rep.c), (p, n, d, rep.c)
             key = (lookup, rep.c)
             if key not in general:
@@ -173,11 +180,13 @@ def test_sweeps_sharing_a_context_across_a_class_equal_fresh_sweeps(p, n):
     f = build_field(p, n)
     m = f.q - 1
     for d in range(1, f.q):
-        contexts = {}
-        for e in (d, d * p**(n - 1), d + m, d * p + 2 * m):
-            cs = range(e % f.q, f.q)
-            assert sweep(f, PowerMap(e), cs, _contexts=contexts) == sweep(f, PowerMap(e), cs)
-        assert list(contexts) == [context_key(f, d)]
+        exponents = (d, d * p**(n - 1), d + m, d * p + 2 * m)
+        ddt._CONTEXTS.clear()
+        shared = [sweep(f, PowerMap(e), range(e % f.q, f.q)) for e in exponents]
+        assert list(ddt._CONTEXTS) == [(*context_key(f, d), f.modulus)]
+        for e, got in zip(exponents, shared):
+            ddt._CONTEXTS.clear()
+            assert got == sweep(f, PowerMap(e), range(e % f.q, f.q))
 
 
 def test_slab_reports_equal_one_report_per_row():
@@ -189,8 +198,14 @@ def test_slab_reports_equal_one_report_per_row():
         hists[0, 0] = 3                                             # a row with v = 0 only
         cs = gen.integers(0, 10**6, rows).tolist()
         for mode in ("full", "power-reduced"):
-            assert (ddt._slab_reports(cs, hists, mode)
-                    == [ddt._report(c, hist, mode) for c, hist in zip(cs, hists)])
+            expected = []
+            for c, hist in zip(cs, hists):
+                values = np.flatnonzero(hist)
+                u = int(values[-1])
+                expected.append(CDDTReport(c, u, tuple(zip(values.tolist(),
+                                                           hist[values].tolist())),
+                                           classification_of(u), mode))
+            assert ddt._slab_reports(cs, hists, mode) == expected
 
 
 @pytest.mark.parametrize("p,n,modulus", ORACLE_FIELDS)
@@ -225,8 +240,9 @@ def test_power_equals_general_property(instance):
 def test_spectrum_is_frobenius_invariant_in_c(instance):
     # x -> x^p maps the equation at c onto the one at c^p
     f, d, c = instance
-    assert (power_uniformity(f, d, f.pow(c, f.p)).spectrum
-            == power_uniformity(f, d, c).spectrum)
+    image = power_uniformity(f, d, f.pow(c, f.p)).spectrum
+    ddt._CONTEXTS.clear()       # else c is read from c^p's orbit report
+    assert image == power_uniformity(f, d, c).spectrum
 
 
 @settings(derandomize=True, deadline=None)
@@ -236,8 +252,9 @@ def test_spectrum_at_c_equals_spectrum_at_inverse_c(instance):
     # (c, a, b) -> (1/c, -a, -b/c) keeps every count and the a = 0 row; for
     # x^d the a = -1 row is a relabeling of the a = 1 row
     f, d, c = instance
-    assert (power_uniformity(f, d, f.inv(c)).spectrum
-            == power_uniformity(f, d, c).spectrum)
+    image = power_uniformity(f, d, f.inv(c)).spectrum
+    ddt._CONTEXTS.clear()
+    assert image == power_uniformity(f, d, c).spectrum
 
 
 @settings(derandomize=True, deadline=None)
@@ -245,8 +262,9 @@ def test_spectrum_at_c_equals_spectrum_at_inverse_c(instance):
 def test_spectrum_is_invariant_under_d_times_p(instance):
     # x^(dp) = (x^d)^p composes x^d with the Frobenius automorphism
     f, d, c = instance
-    assert (power_uniformity(f, d * f.p, c).spectrum
-            == power_uniformity(f, d, c).spectrum)
+    image = power_uniformity(f, d * f.p, c).spectrum
+    ddt._CONTEXTS.clear()
+    assert image == power_uniformity(f, d, c).spectrum
 
 
 @pytest.mark.parametrize("p,n,pairs", [(3, 5, 40), (2, 7, 40), (7, 3, 40)])
@@ -360,6 +378,7 @@ def test_sweep_singleton_matches_single_report():
     f = build_field(3, 2)
     one = sweep(f, PowerMap(4), [2])
     assert len(one) == 1
+    ddt._CONTEXTS.clear()
     assert one[0] == power_uniformity(f, 4, 2)
 
 
@@ -430,7 +449,9 @@ def test_subfield_c_sets_match_the_scalar_membership_test():
 
 def test_reports_are_immutable_and_hash_by_value():
     f = build_field(3, 3)
-    a, b = power_uniformity(f, 4, 5), power_uniformity(f, 4, 5)
+    a = power_uniformity(f, 4, 5)
+    ddt._CONTEXTS.clear()       # a warm cache hands out the same report
+    b = power_uniformity(f, 4, 5)
     assert a == b and hash(a) == hash(b) and a is not b
     assert a != power_uniformity(f, 4, 0)
     with pytest.raises(AttributeError):
@@ -581,6 +602,55 @@ def test_row_and_count_reject_a_and_b_outside_the_field(a, b):
     if name == "a":
         with pytest.raises(ValueError, match=message):
             ddt_row(f, PowerMap(3), 2, a)
+
+
+def test_sweep_over_a_modulus_override_reads_no_report_of_the_default_field():
+    # the same (p, n, d) with another modulus encodes elements differently,
+    # so its contexts must be its own.  Reports are keyed by the orbit of
+    # log c, so the fields must differ by more than c -> c^p and c -> 1/c:
+    # over GF(2^4) every unit mod 15 is +-2^i and no modulus tells them apart
+    default, alt = build_field(2, 5), Field.build(2, 5, modulus=[1, 1, 1, 1, 0, 1])
+    assert default.modulus != alt.modulus
+    for d in range(1, alt.q):
+        sweep(default, PowerMap(d), range(default.q))
+        lookup = as_lookup(alt, PowerMap(d))
+        for rep in sweep(alt, PowerMap(d), range(alt.q)):
+            _assert_spectra_agree(alt, d, rep, general_uniformity(alt, lookup, rep.c))
+
+
+def test_a_count_cut_short_leaves_the_cached_context_whole(monkeypatch):
+    # GF(2^11) counts its 94 orbits of c != 0 in slabs of 32 c-rows; the second
+    # slab raises, and the sweep after it must count what is missing
+    f, d = build_field(2, 11), 3
+    slab_reports, calls = ddt._slab_reports, []
+
+    def failing_slab_reports(cs, hists, mode):
+        calls.append(len(cs))
+        if len(calls) == 3:                 # c = 0, then the first slab
+            raise MemoryError
+        return slab_reports(cs, hists, mode)
+
+    monkeypatch.setattr(ddt, "_slab_reports", failing_slab_reports)
+    with pytest.raises(MemoryError):
+        sweep(f, PowerMap(d), range(f.q))
+    monkeypatch.setattr(ddt, "_slab_reports", slab_reports)
+    (ctx,) = ddt._CONTEXTS.values()
+    assert len(ctx.reports) == 1 + calls[1]
+    warm = sweep(f, PowerMap(d), range(f.q))
+    # one report per orbit and no per-c entry stay cached
+    assert len(ctx.reports) == len(set(_orbit_keys(f, f.elements()).tolist())) == 95
+    ddt._CONTEXTS.clear()
+    assert warm == sweep(f, PowerMap(d), range(f.q))
+
+
+def test_cached_contexts_keep_no_field_alive():
+    # the cache outlives every command, so it must not pin the field tables
+    f = Field.build(5, 3)
+    field_ref = weakref.ref(f)
+    sweep(f, PowerMap(7), range(f.q))
+    del f
+    gc.collect()
+    assert ddt._CONTEXTS and field_ref() is None
 
 
 def test_uniformity_invariant_under_modulus_choice():

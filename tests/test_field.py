@@ -317,6 +317,7 @@ def test_element_maps_take_an_int_or_an_array(p, n):
         assert all(type(s) is kind for s in scalars)
         out = fn(xs)
         assert isinstance(out, np.ndarray) and out.shape == xs.shape
+        assert out.dtype == (np.bool_ if kind is bool else np.int64)
         assert out.tolist() == scalars
     with pytest.raises(ZeroDivisionError):
         f.inv(x)

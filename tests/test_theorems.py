@@ -205,34 +205,50 @@ def test_verify_all_filter_and_max_size():
 
 
 def test_verify_all_equals_one_verify_case_per_row():
-    # rows whose exponents share a class over a field share its power context
-    # within verify_all
-    assert list(verify_all(max_size=250)) == [verify_case(case, max_size=250)
-                                              for case in registry()]
-
-
-def test_verify_all_counts_each_orbit_once(monkeypatch):
-    # one count per distinct (p, n, class of d, orbit of c), with the class
-    # {d p^i mod q-1} and the orbit of c under c -> c^p and c -> 1/c
-    keys = set()
+    # verify_all counts each orbit once across rows that share a field and an
+    # exponent class; each reference row counts its own from a cold cache
+    shared = list(verify_all(max_size=250))
+    expected = []
     for case in registry():
-        for inst in case.default_instances(DEFAULT_SIZE_CAP):
-            f, m = build_field(inst.p, inst.n), inst.p ** inst.n - 1
-            d_class = min(inst.d * inst.p**i % m for i in range(inst.n))
-            for c in (inst.c,) if inst.c is not None else inst.c_values:
-                k = int(f.log[c])
-                key = -1 if c == 0 else min(s * k * inst.p**i % m
-                                            for i in range(inst.n) for s in (1, -1))
-                keys.add((inst.p, inst.n, d_class, key))
-    counted, slab_reports = [], ddt._slab_reports
+        ddt._CONTEXTS.clear()
+        expected.append(verify_case(case, max_size=250))
+    assert shared == expected
 
-    def counting_slab_reports(cs, hists, mode):
-        counted.extend(cs)
-        return slab_reports(cs, hists, mode)
 
-    monkeypatch.setattr(ddt, "_slab_reports", counting_slab_reports)
+def _orbit_classes(instances) -> set:
+    """(p, n, class of d, orbit of c) of every c the instances ask for, with
+    the class {d p^i mod q-1} and the orbit of c under c -> c^p and
+    c -> 1/c."""
+    keys = set()
+    for inst in instances:
+        f, m = build_field(inst.p, inst.n), inst.p ** inst.n - 1
+        d_class = min(inst.d * inst.p**i % m for i in range(inst.n))
+        for c in (inst.c,) if inst.c is not None else inst.c_values:
+            k = int(f.log[c])
+            key = -1 if c == 0 else min(s * k * inst.p**i % m
+                                        for i in range(inst.n) for s in (1, -1))
+            keys.add((inst.p, inst.n, d_class, key))
+    return keys
+
+
+def test_verify_all_counts_each_orbit_once(counted_rows):
+    keys = _orbit_classes(inst for case in registry()
+                       for inst in case.default_instances(DEFAULT_SIZE_CAP))
     assert all(r.passed for r in verify_all())
-    assert len(counted) == len(keys) == 2328
+    assert len(counted_rows) == len(keys) == 2328
+
+
+def test_off_grid_rows_sharing_an_exponent_count_each_orbit_once(counted_rows):
+    # GF(3^4) is on none of these grids; the half-pn-plus1 rows ask for
+    # overlapping c's of x^41, the inverse-odd rows for disjoint unions of
+    # orbits of x^79
+    instances = []
+    for case_id in ("inverse-odd-2", "inverse-odd-3",
+                    "half-pn-plus1", "half-pn-plus1-refined"):
+        report = verify_case(dataclasses.replace(case_by_id(case_id), fields=((3, 4),)))
+        assert report.passed, case_id
+        instances.extend(r.instance for r in report.results)
+    assert len(counted_rows) == len(_orbit_classes(instances)) == 26
 
 
 def test_reproduce_table_rows():
