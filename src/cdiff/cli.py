@@ -70,7 +70,7 @@ def _emit_reports(field: Field, d: int, reports: list[CDDTReport], csv: bool) ->
 
 def _cmd_field(args) -> int:
     modulus = None
-    if args.modulus:
+    if args.modulus is not None:
         try:
             modulus = tuple(int(t) for t in args.modulus.split(","))
         except ValueError:

@@ -86,7 +86,7 @@ def dickson_values(field: Field, m: int) -> np.ndarray:
 
 def dickson_eval(field: Field, m: int, x: int) -> int:
     """D_m(x) for a single element."""
-    return int(_dickson_ladder(field, m, int(x)))
+    return int(_dickson_ladder(field, m, field.check_element("x", x)))
 
 
 def _two_adic_valuation(t: int) -> int:
@@ -131,6 +131,7 @@ def dickson_preimage_count(field: Field, d: int, x0: int) -> DicksonPreimage:
     if d < 1:
         raise ValueError(f"preimage branch formula requires Dickson degree "
                          f"m >= 1, got m = {d}")
+    x0 = field.check_element("x0", x0)
     values = dickson_values(field, d)
     dv = int(values[x0])
     count = int(np.count_nonzero(values == dv))
@@ -226,7 +227,8 @@ def gold_solution_distribution(n: int, k: int) -> GoldDistribution:
                          f"z^(2^k+1) is z^2 over GF(2^{n}), not a Gold map")
     field = build_field(2, n)
     x = field.elements()
-    w = np.bitwise_xor(field.pow_all(2**k + 1), x)     # beta = z^(2^k+1) + z
+    # beta = z^(2^k+1) + z, where z^(2^k) = z^(2^(k mod n)) over GF(2^n)
+    w = np.bitwise_xor(field.pow_all(2**(k % n) + 1), x)
     per_beta = np.bincount(w, minlength=field.q)
     hist = np.bincount(per_beta[1:], minlength=1)
     counts = tuple((int(m), int(c)) for m, c in enumerate(hist) if c)
@@ -266,7 +268,7 @@ def cm_zero_count(n: int, k: int, m: int) -> CmZeros:
     c_cur = np.ones(field.q, dtype=np.int64)
     for i in range(1, m - 1):
         c_prev, c_cur = c_cur, np.bitwise_xor(
-            c_cur, field.mul_v(field.pow_all(2**(i * k)), c_prev))
+            c_cur, field.mul_v(field.pow_all(2**(i * k % n)), c_prev))
     count = int(np.count_nonzero(c_cur == 0))
     return CmZeros(n=n, k=k, m=m, count=count, predicted=_gold_top_count(m, d))
 

@@ -30,19 +30,20 @@ Reports are counted once per orbit of c.  Since x^d commutes with the
 Frobenius x -> x^p, c and c^p have the same spectrum.  For any F and c != 0,
 (c, a, b) -> (1/c, -a, -b/c) carries the solutions of F(x+a) - c F(x) = b
 to those of F(y-a) - F(y)/c = -b/c, and for x^d the a = -1 row is a
-relabeling of the a = 1 row, so c and 1/c have the same spectrum too.  A
-`_PowerContext` holds one report per orbit for one (field, d): `count` takes
-the field and a whole c-set, keys each c by the least of +-log(c) p^i
-mod q-1, and counts the orbits it has not seen in slabs of about 2^16 / q
-c-rows, each slab one gather and two offset bincounts.  Every other member
-of an orbit gets a copy of its report with c replaced.
+relabeling of the a = 1 row, so c and 1/c have the same spectrum too.
+`_orbit_reports` takes a whole c-set, keys each c by the least of
++-log(c) p^i mod q-1, and `_count_orbits` counts the orbits with no report
+yet in slabs of about 2^16 / q c-rows, each slab one gather and two offset
+bincounts.  Every other member of an orbit gets a copy of its report with
+c replaced.
 
 Exponents are shared the same way.  x^(dp) = (x^d)^p composes x^d with the
 Frobenius, so its count at c is that of x^d at c^(1/p), in c's orbit, and
 x^(d + q-1) is the map x^d.  Every exponent of the class {d p^i mod q-1}
-thus has the reports of x^d.  Contexts live in one process-wide cache,
-`_CONTEXTS`, keyed by `context_key`, (p, n, least d p^i mod q-1), and the
-modulus, which fixes the encoding, so a process counts each orbit once per
+thus has the reports of x^d.  The reports live in one process-wide cache,
+`_CONTEXTS`, a plain dict from orbit key to report for each
+`context_key`, (p, n, least d p^i mod q-1), and modulus, which fixes the
+encoding.  It holds nothing else, so a process counts each orbit once per
 exponent class and field, whichever rows, commands or callers ask for it.
 """
 
@@ -94,17 +95,9 @@ def _slab_reports(cs: list[int], hists: np.ndarray, mode: str) -> list[CDDTRepor
     return out
 
 
-def _element(field: Field, name: str, value) -> int:
-    """`value` as an int; ValueError naming the argument unless it is an element."""
-    if not field.is_element(value):
-        raise ValueError(f"{name} = {value!r} is not an element of GF({field.q}): "
-                         f"expected an int in [0, {field.q})")
-    return int(value)
-
-
 def ddt_row(field: Field, func: FunctionSpec, c: int, a: int) -> np.ndarray:
     """Counts over b of solutions x to F(x+a) - c F(x) = b, one pass over x."""
-    c, a = _element(field, "c", c), _element(field, "a", a)
+    c, a = field.check_element("c", c), field.check_element("a", a)
     values = value_table(field, func)
     x = field.elements()
     deltas = field.sub_v(values[field.add_v(x, a)], field.mul_v(c, values))
@@ -113,7 +106,7 @@ def ddt_row(field: Field, func: FunctionSpec, c: int, a: int) -> np.ndarray:
 
 def delta_count(field: Field, func: FunctionSpec, c: int, a: int, b: int) -> int:
     """Exact number of solutions x of F(x+a) - c F(x) = b."""
-    b = _element(field, "b", b)
+    b = field.check_element("b", b)
     return int(ddt_row(field, func, c, a)[b])
 
 
@@ -139,7 +132,7 @@ def _packing(p: int, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 def general_uniformity(field: Field, func: FunctionSpec, c: int) -> CDDTReport:
     """Max count over all (a, b), excluding a = 0 exactly when c = 1."""
-    c = _element(field, "c", c)
+    c = field.check_element("c", c)
     q = field.q
     values = value_table(field, func)
     block = max(1, _SLAB_PAIRS // q)
@@ -221,11 +214,11 @@ def _orbit_keys(field: Field, cs: np.ndarray) -> np.ndarray:
 
 
 def _log_terms(field: Field, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The Zech table Z[k] = log(1 + g^k), 0 where 1 + g^k = 0 (`count`
-    masks that entry), and over the x = g^k with x + 1 != 0 the logs
-    ls = d Z[k] and D = d k - ls mod q-1, in no particular order.  All three
-    are int32; the products are formed in int64 one chunk of _SLAB_PAIRS
-    entries at a time."""
+    """The Zech table Z[k] = log(1 + g^k), 0 where 1 + g^k = 0
+    (`_count_orbits` masks that entry), and over the x = g^k with x + 1 != 0
+    the logs ls = d Z[k] and D = d k - ls mod q-1, in no particular order.
+    All three are int32; the products are formed in int64 one chunk of
+    _SLAB_PAIRS entries at a time."""
     m, dm = field.q - 1, d % (field.q - 1)
     zech, ls, diff = (np.empty(m, dtype=np.int32) for _ in range(3))
     for lo in range(0, m, _SLAB_PAIRS):
@@ -245,89 +238,77 @@ def _log_terms(field: Field, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return zech, ls[:-1], diff[:-1]
 
 
-class _PowerContext:
-    """Reports of x^d over one field, shared by the sweeps of the exponents
-    in d's class (`context_key`).
+def _orbit_reports(field: Field, d: int, cs) -> dict[int, CDDTReport]:
+    """The report of c's orbit for each c of `cs`, from the cached reports
+    of d's class over `field`, counting first each orbit that has none."""
+    reports = _CONTEXTS.setdefault((*context_key(field, d), field.modulus), {})
+    cs = list(dict.fromkeys(cs))
+    keys = _orbit_keys(field, np.array(cs, dtype=np.int64)).tolist()
+    todo = {}                               # orbit key -> its first c
+    for c, key in zip(cs, keys):
+        if key not in reports:
+            todo.setdefault(key, c)
+    if todo:
+        _count_orbits(field, d, todo, reports)
+    return {c: reports[key] for c, key in zip(cs, keys)}
 
-    `reports` holds one report per orbit of c, keyed by `_orbit_keys`.  For
-    x = g^k outside {0, -1}, (x+1)^d - c x^d = g^ls (1 + g^(D + log(-c)))
-    with the `_log_terms` ls and D; those arrays live only while `count`
-    runs.  The context keeps neither its field nor any per-c entry, so a
-    cached context holds one report per orbit counted and nothing else.
-    """
 
-    def __init__(self, d: int):
-        self.d = int(d)
-        self.reports: dict[int, CDDTReport] = {}
-
-    def count(self, f: Field, cs) -> dict[int, CDDTReport]:
-        """The report of c's orbit for each c of `cs` over the field `f`,
-        counting the a = 1 row, plus the a = 0 row if c != 1, once for each
-        orbit that has no report yet.  Reports are stored a slab at a time,
-        so a count cut short keeps only whole reports."""
-        cs = list(dict.fromkeys(cs))
-        keys = _orbit_keys(f, np.array(cs, dtype=np.int64)).tolist()
-        todo = {}                           # orbit key -> its first c
-        for c, key in zip(cs, keys):
-            if key not in self.reports:
-                todo.setdefault(key, c)
-        if todo:
-            self._count_orbits(f, todo)
-        return {c: self.reports[key] for c, key in zip(cs, keys)}
-
-    def _count_orbits(self, f: Field, todo: dict[int, int]) -> None:
-        """Count the orbit of each c of `todo`, keyed by its orbit key."""
-        d = self.d
-        q, m = f.q, f.q - 1
-        if -1 in todo:      # c = 0: (x+1)^d = b and the a = 0 row count preimages
-            del todo[-1]
-            hist = np.zeros(q + 1, dtype=np.int64)
-            for v, number in _image_counts(q, d):
-                hist[v] += 2 * number
-            self.reports[-1] = _slab_reports([0], hist[None], "power-reduced")[0]
-        if not todo:
-            return
-        zech, ls, diff = _log_terms(f, d)
-        order, reps = list(todo), np.array(list(todo.values()), dtype=np.int64)
-        log_minus_one = int(f.log[f.p - 1])                 # -1 is the integer p - 1
-        log_neg_c = (f.log_v(reps) + log_minus_one) % m
-        log_at_minus_one = (log_neg_c + d * log_minus_one % m) % m  # x = -1: b = -c (-1)^d
-        # slabs of c-rows, each of q bins: log b for b != 0, m for b = 0
-        block = max(1, _SLAB_PAIRS // q)
-        for lo in range(0, len(reps), block):
-            c, lnc = reps[lo:lo + block], log_neg_c[lo:lo + block, None]
-            r = len(c)
-            z = np.add(diff, lnc, dtype=np.int64)   # one int64 buffer per slab
-            z %= m
-            zero = z == log_minus_one               # 1 + g^z = 0: b = 0
-            np.add(zech[z], ls, out=z, dtype=np.int64)
-            z %= m
-            z[zero] = m
-            del zero
-            z += np.arange(0, r * q, q)[:, None]
-            rows = np.bincount(z.ravel(), minlength=r * q).reshape(r, q)
-            del z
-            rows[:, 0] += 1                                 # x = 0: b = 1
-            rows[np.arange(r), log_at_minus_one[lo:lo + block]] += 1
-            rows += np.arange(0, r * (q + 1), q + 1)[:, None]
-            hists = np.bincount(rows.ravel(), minlength=r * (q + 1)).reshape(r, q + 1)
-            del rows
-            for v, number in _image_counts(q, d):           # a = 0 row: (1-c) x^d = b
-                hists[c != 1, v] += number
-            self.reports.update(zip(order[lo:lo + block],
-                                    _slab_reports(c.tolist(), hists, "power-reduced")))
+def _count_orbits(f: Field, d: int, todo: dict[int, int],
+                  reports: dict[int, CDDTReport]) -> None:
+    """Count x^d over `f` at the c of each orbit of `todo`, which maps orbit
+    keys to a c, into `reports`: the a = 1 row, plus the a = 0 row if c != 1.
+    For x = g^k outside {0, -1}, (x+1)^d - c x^d = g^ls (1 + g^(D + log(-c)))
+    with the `_log_terms` ls and D.  Reports are stored a slab at a time, so
+    a count cut short keeps only whole reports."""
+    q, m = f.q, f.q - 1
+    if -1 in todo:      # c = 0: (x+1)^d = b and the a = 0 row count preimages
+        del todo[-1]
+        hist = np.zeros(q + 1, dtype=np.int64)
+        for v, number in _image_counts(q, d):
+            hist[v] += 2 * number
+        reports[-1] = _slab_reports([0], hist[None], "power-reduced")[0]
+    if not todo:
+        return
+    zech, ls, diff = _log_terms(f, d)
+    order, reps = list(todo), np.array(list(todo.values()), dtype=np.int64)
+    log_minus_one = int(f.log[f.p - 1])                 # -1 is the integer p - 1
+    log_neg_c = (f.log_v(reps) + log_minus_one) % m
+    log_at_minus_one = (log_neg_c + d * log_minus_one % m) % m  # x = -1: b = -c (-1)^d
+    # slabs of c-rows, each of q bins: log b for b != 0, m for b = 0
+    block = max(1, _SLAB_PAIRS // q)
+    for lo in range(0, len(reps), block):
+        c, lnc = reps[lo:lo + block], log_neg_c[lo:lo + block, None]
+        r = len(c)
+        z = np.add(diff, lnc, dtype=np.int64)   # one int64 buffer per slab
+        z %= m
+        zero = z == log_minus_one               # 1 + g^z = 0: b = 0
+        np.add(zech[z], ls, out=z, dtype=np.int64)
+        z %= m
+        z[zero] = m
+        del zero
+        z += np.arange(0, r * q, q)[:, None]
+        rows = np.bincount(z.ravel(), minlength=r * q).reshape(r, q)
+        del z
+        rows[:, 0] += 1                                 # x = 0: b = 1
+        rows[np.arange(r), log_at_minus_one[lo:lo + block]] += 1
+        rows += np.arange(0, r * (q + 1), q + 1)[:, None]
+        hists = np.bincount(rows.ravel(), minlength=r * (q + 1)).reshape(r, q + 1)
+        del rows
+        for v, number in _image_counts(q, d):           # a = 0 row: (1-c) x^d = b
+            hists[c != 1, v] += number
+        reports.update(zip(order[lo:lo + block],
+                           _slab_reports(c.tolist(), hists, "power-reduced")))
 
 
 def power_uniformity(field: Field, d: int, c: int,
                      _ctx: dict[int, CDDTReport] | None = None) -> CDDTReport:
     """Uniformity of x^d at c from the a = 1 row plus the a = 0 gcd term.
-    `sweep` passes `_ctx`, the orbit reports that the cached context's
-    `count` returned for its c's after checking d and the c's, and the call
-    only reads c's report.  Without one, the call checks d and c and counts
-    c in the cached context."""
+    `sweep` passes `_ctx`, the `_orbit_reports` of its c's, after checking d
+    and the c's, and the call only reads c's report.  Without one, the call
+    checks d and c and reads c's report from `_orbit_reports`."""
     if _ctx is None:
-        d, c = check_exponent(d), _element(field, "c", c)
-        _ctx = _context(field, d).count(field, [c])
+        d, c = check_exponent(d), field.check_element("c", c)
+        _ctx = _orbit_reports(field, d, [c])
     rep = _ctx[c]
     if rep.c != c:
         rep = CDDTReport(c, rep.uniformity, rep.spectrum, rep.classification, rep.mode)
@@ -347,7 +328,7 @@ def _c_list(field: Field, c_values) -> list[int]:
     cs = np.asarray(values)
     if not (cs.dtype.kind in "iu" and cs.ndim == 1
             and ((cs >= 0) & (cs < field.q)).all()):
-        values = [_element(field, "c", c) for c in values]
+        values = [field.check_element("c", c) for c in values]
     return sorted(map(int, values))
 
 
@@ -358,27 +339,19 @@ def context_key(field: Field, d: int) -> tuple[int, int, int]:
     return field.p, field.n, min(d * field.p**i % m for i in range(field.n))
 
 
-_CONTEXTS: dict[tuple, _PowerContext] = {}
-
-
-def _context(field: Field, d: int) -> _PowerContext:
-    """The cached context of d's class over `field`, made on a miss."""
-    key = (*context_key(field, d), field.modulus)
-    ctx = _CONTEXTS.get(key)
-    if ctx is None:
-        ctx = _CONTEXTS[key] = _PowerContext(d)
-    return ctx
+# (*context_key, modulus) -> orbit key -> report, for each class counted
+_CONTEXTS: dict[tuple, dict[int, CDDTReport]] = {}
 
 
 def sweep(field: Field, func: FunctionSpec, c_values) -> list[CDDTReport]:
     """Independent reports for every c, in canonical element order.  A power
-    map counts in the cached context of its exponent class, so only the
-    orbits no earlier call has counted are counted."""
+    map reads the cached reports of its exponent class, so only the orbits
+    no earlier call has counted are counted."""
     cs = _c_list(field, c_values)
     if not cs:
         raise ValueError("empty c-set")
     if isinstance(func, PowerMap):
-        reports = _context(field, func.d).count(field, cs)
+        reports = _orbit_reports(field, int(func.d), cs)
         return [power_uniformity(field, func.d, c, _ctx=reports) for c in cs]
     return [general_uniformity(field, func, c) for c in cs]
 

@@ -283,6 +283,13 @@ class Field:
         """True when x is an int encoding in [0, q)."""
         return isinstance(x, (int, np.integer)) and 0 <= x < self.q
 
+    def check_element(self, name: str, value) -> int:
+        """`value` as an int; ValueError naming the argument unless it is an element."""
+        if not self.is_element(value):
+            raise ValueError(f"{name} = {value!r} is not an element of GF({self.q}): "
+                             f"expected an int in [0, {self.q})")
+        return int(value)
+
     def g_pow(self, k: int) -> int:
         return int(self.exp[k % (self.q - 1)])
 

@@ -250,6 +250,9 @@ def test_usage_errors_exit_2(capsys):
     code, out, err = run_cli(capsys, "uniformity", "-p", "2", "-n", "3",
                              "-d", "3", "-c", "g^x")
     assert code == 2 and out == "" and "'g^x'" in err
+    code, out, err = run_cli(capsys, "field", "-p", "3", "-n", "2", "--modulus", "")
+    assert code == 2 and out == ""
+    assert "modulus '' is not a comma-separated list of ints" in err
 
 
 def test_uniformity_rejects_exponent_zero(capsys):

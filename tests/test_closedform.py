@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -193,6 +194,18 @@ def test_dickson_preimage_boundary_x0_squared_4():
             assert r.count == r.predicted
 
 
+def test_dickson_closed_forms_name_an_argument_that_is_not_an_element():
+    # a negative index would wrap to the last elements, and q would raise IndexError
+    f = build_field(3, 2)
+    for bad in (-1, 9, 2.0):
+        message = f"{bad!r} is not an element of GF(9)"
+        with pytest.raises(ValueError, match=re.escape(f"x0 = {message}")):
+            dickson_preimage_count(f, 6, bad)
+        with pytest.raises(ValueError, match=re.escape(f"x = {message}")):
+            dickson_eval(f, 6, bad)
+    assert dickson_preimage_count(f, 6, np.int64(8)) == dickson_preimage_count(f, 6, 8)
+
+
 def test_dickson_max_preimage_example():
     # d = (3^2+3)/2 = 6 over GF(9): the maximum preimage count is 2
     f = build_field(3, 2)
@@ -251,6 +264,17 @@ def test_cm_c3_shape():
     z = cm_zero_count(3, 1, 3)
     zeros = [x for x in range(f.q) if np.bitwise_xor(1, f.pow(x, 2)) == 0]
     assert z.count == len(zeros) == 1
+
+
+def test_gold_exponent_is_reduced_mod_n():
+    # z^(2^k) = z^(2^(k mod n)) over GF(2^n); 2^k itself would not fit in memory
+    k = 10**30 + 1
+    for n in (4, 5):
+        big, one = gold_solution_distribution(n, k), gold_solution_distribution(n, 1)
+        assert (big.counts, big.predicted, big.zero_beta_solutions) \
+            == (one.counts, one.predicted, one.zero_beta_solutions)
+        big, one = cm_zero_count(n, k, n), cm_zero_count(n, 1, n)
+        assert (big.count, big.predicted) == (one.count, one.predicted)
 
 
 def test_cm_validates_m():

@@ -189,6 +189,14 @@ def test_sweeps_sharing_a_context_across_a_class_equal_fresh_sweeps(p, n):
             assert got == sweep(f, PowerMap(e), range(e % f.q, f.q))
 
 
+def test_a_numpy_exponent_counts_as_its_plain_int():
+    # d (-1)^d mod q-1 in int64 would wrap for d near 2^62
+    f, d = build_field(3, 5), 2**62 + 7
+    numpy_d = sweep(f, PowerMap(np.int64(d)), range(f.q))
+    ddt._CONTEXTS.clear()
+    assert numpy_d == sweep(f, PowerMap(d), range(f.q))
+
+
 def test_slab_reports_equal_one_report_per_row():
     gen = np.random.default_rng(20210419)
     for rows, width, density in ((1, 2, 0.5), (7, 9, 0.3), (40, 258, 0.05), (64, 1025, 0.9)):
@@ -556,23 +564,24 @@ def test_sweep_checks_c_once_and_calls_power_uniformity_once_per_c(monkeypatch):
     # c-set is checked once, c by c only to name a c that is not an element
     f, calls = build_field(3, 2), Counter()
 
-    def spy(name):
-        fn = getattr(ddt, name)
+    def spy(owner, name):
+        fn = getattr(owner, name)
 
         def counted(*args, **kwargs):
             calls[name] += 1
             return fn(*args, **kwargs)
-        monkeypatch.setattr(ddt, name, counted)
+        monkeypatch.setattr(owner, name, counted)
 
-    for name in ("_element", "check_exponent", "power_uniformity"):
-        spy(name)
+    spy(Field, "check_element")
+    for name in ("check_exponent", "power_uniformity"):
+        spy(ddt, name)
     cs = [0, 1, 2, 2, 5, 8]
     assert [r.c for r in ddt.sweep(f, PowerMap(3), cs)] == cs
     assert calls == {"power_uniformity": len(cs)}
     calls.clear()
     with pytest.raises(ValueError, match="c = 2.0"):
         ddt.sweep(f, PowerMap(3), [0, True, 2.0, 9])
-    assert calls == {"_element": 3}
+    assert calls == {"check_element": 3}
 
 
 @pytest.mark.parametrize("p,n", [(2, 17), (131071, 1), (2039, 2)])
@@ -634,11 +643,11 @@ def test_a_count_cut_short_leaves_the_cached_context_whole(monkeypatch):
     with pytest.raises(MemoryError):
         sweep(f, PowerMap(d), range(f.q))
     monkeypatch.setattr(ddt, "_slab_reports", slab_reports)
-    (ctx,) = ddt._CONTEXTS.values()
-    assert len(ctx.reports) == 1 + calls[1]
+    (reports,) = ddt._CONTEXTS.values()
+    assert len(reports) == 1 + calls[1]
     warm = sweep(f, PowerMap(d), range(f.q))
     # one report per orbit and no per-c entry stay cached
-    assert len(ctx.reports) == len(set(_orbit_keys(f, f.elements()).tolist())) == 95
+    assert len(reports) == len(set(_orbit_keys(f, f.elements()).tolist())) == 95
     ddt._CONTEXTS.clear()
     assert warm == sweep(f, PowerMap(d), range(f.q))
 
