@@ -33,9 +33,12 @@ to those of F(y-a) - F(y)/c = -b/c, and for x^d the a = -1 row is a
 relabeling of the a = 1 row, so c and 1/c have the same spectrum too.
 `_orbit_reports` takes a whole c-set, keys each c by the least of
 +-log(c) p^i mod q-1, and `_count_orbits` counts the orbits with no report
-yet in slabs of about 2^16 / q c-rows, each slab one gather and two offset
-bincounts.  Every other member of an orbit gets a copy of its report with
-c replaced.
+yet in slabs of about 2^16 / q c-rows.  A slab is two adds, each reduced
+mod q-1 by an unsigned minimum rather than an integer `%`, one gather and
+two offset bincounts; the second is strided by the slab's largest count,
+not by q + 1.  Above q = 2^16 a slab is one row, formed 2^16 x's at a time
+in one int64 buffer.  Every other member of an orbit gets a copy of its
+report with c replaced.
 
 Exponents are shared the same way.  x^(dp) = (x^d)^p composes x^d with the
 Frobenius, so its count at c is that of x^d at c^(1/p), in c's orbit, and
@@ -111,8 +114,9 @@ def delta_count(field: Field, func: FunctionSpec, c: int, a: int, b: int) -> int
 
 
 # (a, x) pairs per slab of the general scan, (c, x) pairs per slab of
-# power-route rows, and entries per chunk of `_log_terms`: small enough that
-# a slab and its temporaries stay in cache
+# power-route rows, x's per chunk of a one-row power-route slab, and entries
+# per chunk of `_log_terms`: small enough that a slab or chunk and its
+# temporaries stay in cache
 _SLAB_PAIRS = 2**16
 
 
@@ -263,7 +267,7 @@ def _count_orbits(f: Field, d: int, todo: dict[int, int],
     q, m = f.q, f.q - 1
     if -1 in todo:      # c = 0: (x+1)^d = b and the a = 0 row count preimages
         del todo[-1]
-        hist = np.zeros(q + 1, dtype=np.int64)
+        hist = np.zeros(math.gcd(d, m) + 1, dtype=np.int64)
         for v, number in _image_counts(q, d):
             hist[v] += 2 * number
         reports[-1] = _slab_reports([0], hist[None], "power-reduced")[0]
@@ -274,25 +278,34 @@ def _count_orbits(f: Field, d: int, todo: dict[int, int],
     log_minus_one = int(f.log[f.p - 1])                 # -1 is the integer p - 1
     log_neg_c = (f.log_v(reps) + log_minus_one) % m
     log_at_minus_one = (log_neg_c + d * log_minus_one % m) % m  # x = -1: b = -c (-1)^d
-    # slabs of c-rows, each of q bins: log b for b != 0, m for b = 0
+    um = np.uint64(m)
+    # slabs of c-rows, each of q bins: log b for b != 0, m for b = 0; above
+    # q = 2^16 a slab is one row, formed _SLAB_PAIRS x's at a time
     block = max(1, _SLAB_PAIRS // q)
+    buffer = np.empty((block, len(diff)), dtype=np.int64)  # the one q-sized buffer
     for lo in range(0, len(reps), block):
         c, lnc = reps[lo:lo + block], log_neg_c[lo:lo + block, None]
         r = len(c)
-        z = np.add(diff, lnc, dtype=np.int64)   # one int64 buffer per slab
-        z %= m
-        zero = z == log_minus_one               # 1 + g^z = 0: b = 0
-        np.add(zech[z], ls, out=z, dtype=np.int64)
-        z %= m
-        z[zero] = m
-        del zero
-        z += np.arange(0, r * q, q)[:, None]
-        rows = np.bincount(z.ravel(), minlength=r * q).reshape(r, q)
-        del z
+        slab = buffer[:r]
+        for x0 in range(0, len(diff), _SLAB_PAIRS):
+            xs = slice(x0, x0 + _SLAB_PAIRS)
+            z = slab[:, xs]
+            u = z.view(np.uint64)
+            # each sum lies in [0, 2m); as unsigned, z - m wraps above z
+            # exactly when z < m, so the minimum is z mod m
+            np.add(diff[xs], lnc, out=z)
+            np.minimum(u, u - um, out=u)
+            zero = z == log_minus_one           # 1 + g^z = 0: b = 0
+            np.add(zech[z], ls[xs], out=z)
+            np.minimum(u, u - um, out=u)
+            z[zero] = m
+            z += np.arange(0, r * q, q)[:, None]
+        rows = np.bincount(slab.ravel(), minlength=r * q).reshape(r, q)
         rows[:, 0] += 1                                 # x = 0: b = 1
         rows[np.arange(r), log_at_minus_one[lo:lo + block]] += 1
-        rows += np.arange(0, r * (q + 1), q + 1)[:, None]
-        hists = np.bincount(rows.ravel(), minlength=r * (q + 1)).reshape(r, q + 1)
+        s = max(int(rows.max()), math.gcd(d, m)) + 1    # above every count, a = 0 too
+        rows += np.arange(0, r * s, s)[:, None]
+        hists = np.bincount(rows.ravel(), minlength=r * s).reshape(r, s)
         del rows
         for v, number in _image_counts(q, d):           # a = 0 row: (1-c) x^d = b
             hists[c != 1, v] += number
@@ -351,7 +364,7 @@ def sweep(field: Field, func: FunctionSpec, c_values) -> list[CDDTReport]:
     if not cs:
         raise ValueError("empty c-set")
     if isinstance(func, PowerMap):
-        reports = _orbit_reports(field, int(func.d), cs)
+        reports = _orbit_reports(field, func.d, cs)
         return [power_uniformity(field, func.d, c, _ctx=reports) for c in cs]
     return [general_uniformity(field, func, c) for c in cs]
 

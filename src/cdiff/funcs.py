@@ -1,7 +1,8 @@
 """Functions under study: power maps and explicit lookup tables.
 
-A PowerMap keeps its exponent as given (reduction mod q-1 happens only at
-evaluation time, and only for nonzero bases, since x^(q-1) = 1 fails at 0).
+A PowerMap keeps its exponent as a plain int, unreduced (reduction mod q-1
+happens only at evaluation time, and only for nonzero bases, since
+x^(q-1) = 1 fails at 0).
 """
 
 from __future__ import annotations
@@ -22,11 +23,11 @@ def check_exponent(d) -> int:
 
 @dataclass(frozen=True)
 class PowerMap:
-    """F(x) = x^d with d >= 1."""
+    """F(x) = x^d with d >= 1, kept as a plain int."""
     d: int
 
     def __post_init__(self):
-        check_exponent(self.d)
+        object.__setattr__(self, "d", check_exponent(self.d))
 
 
 @dataclass(frozen=True)

@@ -296,12 +296,35 @@ def test_power_route_against_digit_add_rows_above_hypothesis_range(p, n, rng):
              for _ in range(3)]
     draws.append((f.q - 2, rng.randrange(f.q), rng.randrange(1, f.q)))
     for d, c, a in draws:
-        hist = np.bincount(ddt_row(f, PowerMap(d), c, a), minlength=f.q + 1)
-        for v, m in _a0_row_spectrum(f.q, d, c).items():
-            hist[v] += m
-        values = np.flatnonzero(hist)
-        assert (tuple(zip(values.tolist(), hist[values].tolist()))
-                == power_uniformity(f, d, c).spectrum), (p, n, d, c, a)
+        assert _digit_add_spectrum(f, d, c, a) == power_uniformity(f, d, c).spectrum, \
+            (p, n, d, c, a)
+
+
+def _digit_add_spectrum(f, d, c, a):
+    """Power-reduced spectrum of x^d at c from one digit-add `ddt_row` at
+    a != 0 merged with the analytic a = 0 row."""
+    hist = np.bincount(ddt_row(f, PowerMap(d), c, a), minlength=f.q + 1)
+    for v, m in _a0_row_spectrum(f.q, d, c).items():
+        hist[v] += m
+    values = np.flatnonzero(hist)
+    return tuple(zip(values.tolist(), hist[values].tolist()))
+
+
+@pytest.mark.parametrize("p,n,large_gcd", [(2, 11, 2047), (7, 4, 1200)])
+def test_every_c_over_several_slabs_against_digit_add_rows(p, n, large_gcd):
+    # every orbit of c != 0 in slabs of 2^16 // q c-rows: GF(2^11) counts 94
+    # orbits in slabs of 32 rows and GF(7^4) 316 in slabs of 27.  d = q - 2
+    # takes d Z[k] past 2^31, and with gcd(large_gcd, q-1) >= (q-1)/4 the
+    # a = 0 row's count g is above the largest a = 1 count at all but 1 or
+    # 2 of the c's, so g sets the width of their count histograms
+    f = build_field(p, n)
+    orbits = set(ddt._orbit_keys(f, f.elements()).tolist())
+    assert len(orbits) > 2 * (ddt._SLAB_PAIRS // f.q)
+    assert 4 * math.gcd(large_gcd, f.q - 1) >= f.q - 1
+    for d in (3, f.q - 2, large_gcd):
+        ddt._CONTEXTS.clear()
+        for rep in sweep(f, PowerMap(d), range(f.q)):
+            assert rep.spectrum == _digit_add_spectrum(f, d, rep.c, 1), (p, n, d, rep.c)
 
 
 def _rowwise_spectrum(f, func, c):

@@ -1,5 +1,6 @@
 import re
 
+import numpy as np
 import pytest
 
 from cdiff.field import build_field
@@ -20,6 +21,16 @@ def test_power_map_eval_examples():
 def test_power_map_requires_positive_exponent():
     with pytest.raises(ValueError):
         PowerMap(0)
+
+
+def test_power_map_keeps_a_numpy_exponent_as_a_plain_int():
+    # an np.int64 d near 2^62 would wrap in int64 products with a log
+    assert type(PowerMap(np.int64(7)).d) is int
+    f, d = build_field(3, 5), 2**62 + 7
+    numpy_d, plain = PowerMap(np.int64(d)), PowerMap(d)
+    assert numpy_d == plain
+    assert [evaluate(f, numpy_d, x) for x in range(f.q)] == \
+        [evaluate(f, plain, x) for x in range(f.q)]
 
 
 def test_as_lookup_identity_and_fermat():
