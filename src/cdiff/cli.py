@@ -118,30 +118,27 @@ def _instance_lines(report: theorems.VerificationReport) -> str:
     """A row's instance records, each byte-identical to `_print_record` of its
     dict: keys in sorted order, strings through json's ASCII encoder.  The
     keys between "c" and "observed", and those after "ok", are one template
-    per run of instances that share (condition, d, k, n, p, prediction), as
-    the instances of one branch at one exponent do."""
+    per branch run (`VerificationReport.runs`)."""
     case_json = _json_str(report.case_id)
-    key = mid = tail = None
     lines = []
-    for result in report.results:
-        inst, observed = result.instance, result.observed
-        shared = (inst.c_label, inst.d, inst.k, inst.n, inst.p, inst.predicted)
-        if shared != key:
-            key = shared
-            mid = (f',"case":{case_json},"condition":{_json_str(inst.c_label)},'
-                   f'"d":{inst.d},"k":{_json_int(inst.k)},"n":{inst.n},"observed":')
-            tail = (f',"p":{inst.p},"predicted":{_json_str(inst.predicted.render())},'
-                    f'"record":"instance","schema":"{SCHEMA}"}}\n')
-        if isinstance(observed, tuple):
-            observed = "[" + ",".join(map(str, observed)) + "]"
-        lines.append(f'{{"c":{_json_int(inst.c)}{mid}{observed},'
-                     f'"ok":{"true" if result.ok else "false"}{tail}')
+    for (p, n, d, k, label, predicted), results in report.runs():
+        mid = (f',"case":{case_json},"condition":{_json_str(label)},'
+               f'"d":{d},"k":{_json_int(k)},"n":{n},"observed":')
+        tail = (f',"p":{p},"predicted":{_json_str(predicted.render())},'
+                f'"record":"instance","schema":"{SCHEMA}"}}\n')
+        for result in results:
+            observed = result.observed
+            if isinstance(observed, tuple):
+                observed = "[" + ",".join(map(str, observed)) + "]"
+            lines.append(f'{{"c":{_json_int(result.instance.c)}{mid}{observed},'
+                         f'"ok":{"true" if result.ok else "false"}{tail}')
     return "".join(lines)
 
 
 def _no_instance_error(case_ids: list[str] | None, max_size: int) -> ValueError:
     """The usage error for a --max-size below every grid field of the cases."""
-    cases = [theorems.case_by_id(i) for i in case_ids] if case_ids else theorems.registry()
+    cases = ([theorems.case_by_id(i) for i in case_ids] if case_ids is not None
+             else theorems.registry())
     smallest = min(p**n for case in cases for p, n, *_ in case.fields)
     return ValueError(f"--max-size {max_size} selects no instance: the smallest "
                       f"grid field has q = {smallest}")
@@ -149,7 +146,7 @@ def _no_instance_error(case_ids: list[str] | None, max_size: int) -> ValueError:
 
 def _cmd_verify(args) -> int:
     """Write each row's records as soon as the row is checked."""
-    ids = [args.case] if args.case else None
+    ids = [args.case] if args.case is not None else None
     printed = failed = False
     for report in theorems.verify_all(case_ids=ids, max_size=args.max_size):
         if not report.results:      # a row whose grid --max-size drops prints nothing

@@ -343,9 +343,9 @@ class Field:
         return _like(x, np.where(x == 0, 0, (1 - 2 * (self.log[x] % 2)).astype(np.int64)))
 
     def in_subfield(self, x, m: int):
-        """Membership of x in the subfield GF(p^m); m must divide n.  The
-        logs of GF(p^m)* are the multiples of (q-1)/(p^m-1), and log 0 = 0."""
-        if self.n % m != 0:
+        """Membership of x in GF(p^m), m a positive divisor of n.  The logs of
+        GF(p^m)* are the multiples of (q-1)/(p^m-1), and log 0 = 0."""
+        if m <= 0 or self.n % m != 0:
             raise ValueError(f"GF({self.p}^{m}) is not a subfield of GF({self.p}^{self.n})")
         return _like(x, self.log[x] % ((self.q - 1) // (self.p**m - 1)) == 0)
 

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
+from operator import attrgetter
 from typing import Callable, Iterator, NamedTuple, Union
 
 import numpy as np
@@ -96,6 +98,12 @@ class VerificationReport:
     results: tuple[InstanceResult, ...]
     counterexamples: tuple[InstanceResult, ...]
     max_attained: int | None           # over UpperBound instances, if any
+
+    def runs(self):
+        """The results as branch runs: `groupby` pairs keyed by the (p, n, d,
+        k, c_label, predicted) of their instances, in the results' order."""
+        key = attrgetter("p", "n", "d", "k", "c_label", "predicted")
+        return groupby(self.results, lambda r: key(r.instance))
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +498,7 @@ def verify_all(case_ids: list[str] | None = None,
                max_size: int = DEFAULT_SIZE_CAP) -> Iterator[VerificationReport]:
     """Verify the named cases, or the whole registry, yielding each row's
     report as soon as it is checked."""
-    cases = ([case_by_id(cid) for cid in case_ids] if case_ids else registry())
+    cases = [case_by_id(cid) for cid in case_ids] if case_ids is not None else registry()
     for case in cases:
         yield verify_case(case, max_size=max_size)
 
@@ -503,25 +511,17 @@ TABLE_COLUMNS = ("case", "p", "n", "d", "condition", "predicted", "observed", "v
 
 
 def _summarize(report: VerificationReport) -> list[dict]:
-    """One row per (field, d, condition) group of a case's results."""
-    groups: dict[tuple, list[InstanceResult]] = {}
-    for r in report.results:
-        inst = r.instance
-        groups.setdefault((inst.p, inst.n, inst.d, inst.c_label,
-                           inst.predicted.render()), []).append(r)
+    """One row per branch run of a case's results, in the results' order."""
     rows = []
-    for (p, n, d, label, predicted), rs in sorted(groups.items()):
-        sets = set()
+    for (p, n, d, _, label, predicted), rs in report.runs():
+        observed, ok = set(), True
         for r in rs:
-            if isinstance(r.observed, tuple):
-                sets.update(r.observed)
-            else:
-                sets.add(r.observed)
-        observed = "{" + ",".join(str(v) for v in sorted(sets)) + "}"
+            observed.update(r.observed if isinstance(r.observed, tuple) else (r.observed,))
+            ok = ok and r.ok
         rows.append({"case": report.case_id, "p": p, "n": n, "d": d,
-                     "condition": label, "predicted": predicted,
-                     "observed": observed,
-                     "verdict": "pass" if all(r.ok for r in rs) else "FAIL"})
+                     "condition": label, "predicted": predicted.render(),
+                     "observed": "{" + ",".join(map(str, sorted(observed))) + "}",
+                     "verdict": "pass" if ok else "FAIL"})
     return rows
 
 

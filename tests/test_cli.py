@@ -194,9 +194,10 @@ def test_verify_writes_each_row_before_checking_the_next(capsys, monkeypatch):
 
 
 def test_verify_unknown_case_is_usage_error(capsys):
-    code, out, err = run_cli(capsys, "verify", "--case", "nope")
-    assert code == 2 and out == ""
-    assert err == "cdiff: error: unknown case id 'nope'\n"
+    for case_id in ("nope", ""):
+        code, out, err = run_cli(capsys, "verify", "--case", case_id)
+        assert code == 2 and out == ""
+        assert err == f"cdiff: error: unknown case id {case_id!r}\n"
 
 
 def _install_failing_row(monkeypatch):
@@ -403,6 +404,8 @@ def test_table_csv_headers(capsys):
      "eadb880c8d6066ab957430038e539cba7252008a7a73e290c66a975e02c344d2"),
     (("sweep", "-p", "3", "-n", "3", "-d", "24", "--c-set", "not-pm-one", "--csv"),
      "d6fc384ea191beccbf9d38fd407b9b2e51b5485c52951866bae6e3575ab158e3"),
+    (("table", "--csv"),
+     "b5561240bfdbe35764929fee11c1f15f51e4cdbeb79bdba0bbce8eeed68748ce"),
 ])
 def test_csv_output_is_pinned(capsys, argv, digest):
     code, out, _ = run_cli(capsys, *argv)

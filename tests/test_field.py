@@ -300,8 +300,9 @@ def test_in_subfield():
     gf4 = {c for c in range(f.q) if f.in_subfield(c, 2)}
     assert gf4 == {0, 1, f.g_pow(5), f.g_pow(10)}
     assert all(f.in_subfield(c, 4) for c in range(f.q))
-    with pytest.raises(ValueError):
-        f.in_subfield(1, 3)
+    for m in (3, 0, -1, -2, -4):
+        with pytest.raises(ValueError, match=rf"GF\(2\^{m}\) is not a subfield"):
+            f.in_subfield(f.elements(), m)
 
 
 @pytest.mark.parametrize("p,n", [(2, 5), (3, 3), (5, 2), (7, 1)])

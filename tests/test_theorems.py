@@ -202,6 +202,17 @@ def test_verify_all_filter_and_max_size():
     assert all(r.passed for r in reports)
     for r in reports:
         assert all(res.instance.p ** res.instance.n <= 150 for res in r.results)
+    assert list(verify_all(case_ids=[])) == []
+
+
+def test_runs_are_the_branches_in_grid_order_then_the_sweep():
+    report = verify_case(case_by_id("pn-minus-3"), max_size=9)
+    runs = [(key, len(list(rs))) for key, rs in report.runs()]
+    assert [key[:5] for key, _ in runs] == [
+        (3, 2, 6, None, "c = -1"), (3, 2, 6, None, "c = 0"),
+        (3, 2, 6, None, "c not in {0,1,-1}"), (3, 2, 6, None, "sweep c not in {0,1,-1}")]
+    assert [size for _, size in runs] == [1, 1, 6, 1]
+    assert sum(size for _, size in runs) == len(report.results)
 
 
 def test_verify_all_equals_one_verify_case_per_row():
