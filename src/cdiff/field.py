@@ -176,7 +176,8 @@ def _like(x, value):
 class Field:
     """A concrete GF(p^n): modulus, generator, and exp/log tables.
 
-    Immutable after construction; all operations are pure.
+    Immutable after construction; all operations are pure.  Equality and
+    hashing skip the tables, which the other fields fix.
     """
 
     p: int
@@ -184,8 +185,8 @@ class Field:
     q: int
     modulus: tuple[int, ...]          # n+1 coefficients, monic
     generator: int                    # canonical encoding
-    exp: np.ndarray = dataclass_field(repr=False)     # int32 exp[k] = generator^k, length q-1
-    log: np.ndarray = dataclass_field(repr=False)     # int32 log[exp[k]] = k; log[0] = 0 (guarded)
+    exp: np.ndarray = dataclass_field(repr=False, compare=False)  # int32 exp[k] = g^k, k < q-1
+    log: np.ndarray = dataclass_field(repr=False, compare=False)  # int32 log[g^k] = k; log[0] = 0
 
     # -- construction -------------------------------------------------------
 

@@ -1,7 +1,7 @@
 """Check registry claims on fields off their default grids, in two passes.
 
-1. Every row on every field with 4 < q <= 4200 that lies outside the row's
-   default grid, the prime fields up to GF(4177) included.
+1. Every row on every field with 4 < q <= 6561 (3^8) that lies outside the
+   row's default grid, the prime fields up to GF(6553) included.
 2. The rows whose branches test a single c (c = 0, c = 1 or c = -1), which
    cost one orbit per exponent, on every field with 4 < q <= 2^16.  The field
    and context caches are cleared after each field, so memory stays flat.
@@ -26,8 +26,8 @@ from cdiff import ddt, field
 from cdiff.field import build_field, is_prime
 from cdiff.theorems import VerificationReport, case_by_id, registry, verify_case
 
-FIELDS = [(p, n) for p in range(2, 4201) if is_prime(p)
-          for n in range(1, 13) if 4 < p**n <= 4200]
+FIELDS = [(p, n) for p in range(2, 6562) if is_prime(p)
+          for n in range(1, 13) if 4 < p**n <= 6561]
 SINGLE_C_ROWS = [case_by_id(row_id) for row_id in (
     "inverse-c0", "half-gold-pcn", "three-n-plus-3", "pn-plus-3",
     "pn-minus-3-classical", "half-pn-minus-3", "bt-rows")]

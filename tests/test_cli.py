@@ -418,3 +418,17 @@ def test_installed_entry_point_runs():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["p"] == 5
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify",),
+    ("sweep", "-p", "3", "-n", "7", "-d", "4", "--c-set", "all"),
+])
+def test_closed_stdout_exits_141_quietly(argv):
+    # both write far more than a pipe holds, so the reader's close meets a write
+    with subprocess.Popen([sys.executable, "-m", "cdiff", *argv],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline().startswith(b"{")
+        proc.stdout.close()
+        assert proc.stderr.read() == b""
+        assert proc.wait() == 141

@@ -338,6 +338,14 @@ def test_json_round_trip():
     assert np.array_equal(g.exp, f.exp)
 
 
+def test_fields_compare_and_hash_by_their_parameters():
+    f, g = build_field(3, 2), Field.build(3, 2)
+    assert f is not g and f == g and hash(f) == hash(g)
+    assert {f: "GF(9)"}[g] == "GF(9)"
+    other = Field.build(3, 2, modulus=[2, 2, 1])
+    assert other != f and f not in {other}
+
+
 def test_modulus_override_accepted():
     # x^2 + 2x + 2 is a different irreducible over Z_3
     f = Field.build(3, 2, modulus=[2, 2, 1])

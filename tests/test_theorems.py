@@ -285,9 +285,7 @@ def _sha256(lines):
 def test_default_grids_are_pinned():
     lines = []
     for case in registry():
-        insts = sorted(case.default_instances(DEFAULT_SIZE_CAP),
-                       key=lambda i: (i.p, i.n, i.d))
-        for i in insts:
+        for i in case.default_instances(DEFAULT_SIZE_CAP):
             lines.append(json.dumps([
                 case.id, i.p, i.n, i.d, i.k, i.c, i.c_label, i.predicted.render(),
                 list(i.c_values) if i.c_values is not None else None]))
@@ -372,9 +370,14 @@ def test_branch_masks_match_reference_conditions():
             assert len(refs) == len(row.branches), row.id
             for d, k in row.family(f):
                 covered.add(row.id)
+                accepted = np.zeros(f.q, dtype=int)
                 for branch, ref in zip(row.branches, refs):
                     mask = branch.accepts(f, k, f.elements())
                     assert mask.dtype == bool and mask.shape == (f.q,)
                     want = [c for c in range(f.q) if ref(F, k, c)]
                     assert np.flatnonzero(mask).tolist() == want, (row.id, p, n, d)
+                    accepted += mask
+                # `predict` takes the first accepting branch and the grid lists
+                # c under every one: the two agree only on disjoint branches
+                assert accepted.max() <= 1, (row.id, p, n, d)
     assert covered == set(REF_CONDITIONS)
