@@ -3,17 +3,20 @@
 Two routes are provided.  The general route scans every (a, b) pair at
 Theta(q^2) cost and works for arbitrary lookup tables.  It is the reference
 the power-map route is tested against, so it shares no addition code with
-it and uses neither the Zech table nor the report cache below.  Over
-GF(2^n) addition and subtraction are XOR, so F(x+a) - c F(x) is
-F(a ^ x) ^ c F(x): one XOR, one gather and one XOR per pair.  For odd p it
-splits each encoding into its low t = ceil(n/2) base-p digits and its high
-n - t digits and writes each half in radix 2p-1, where two halves add as
-plain integers with no carries; a table per half maps such a sum back to
-the digit-wise sum mod p.  x + a is an outer sum over the two halves, and
-the packed F(x) and -c F(x) share one int64, high half above low, so
-F(x+a) - c F(x) is one gather and one add before the two reductions, about
-nine numpy element operations per pair.  The scan works on slabs of about
-2^16 pairs, which keep a slab and its temporaries in cache.
+it and uses neither the Zech table nor the report cache below.  A slab is
+a coset of rows a = lo + s, with s below B = p^j (a subgroup), B q <= 2^16
+and lo a multiple of B.  With y = x + s, F(x+a) - c F(x) is
+F(y + lo) - c F(y - s), whose second term, with each row's bincount offset,
+is one (B, q) table per scan.  A slab is one q-element gather of F(y + lo)
+and one XOR (p = 2) or add (odd p) per pair before the two bincounts.  For
+odd p each encoding splits into its low t = ceil(n/2) and high n - t
+base-p digits, each written in radix 2p-1, where two halves add as plain
+integers with no carries; a table per half, the high one with a block per
+row that adds the row's offset, maps a sum back to digits mod p.  At c = 1
+the scan counts half of the pairs: over GF(2^n) y and y + a give the same
+b, so a slab with lo != 0 counts the y with bit msb(lo) clear, each b
+twice; for odd p rows a and -a count alike, so of the slabs lo and -lo only
+the one with lo < -lo is counted, twice.  The a = 0 row is then taken out.
 
 The power-map route uses the a-scaling reduction: for F(x) = x^d every a != 0
 row is a relabeling of the a = 1 row, and the a = 0 row contributes exactly
@@ -113,10 +116,10 @@ def delta_count(field: Field, func: FunctionSpec, c: int, a: int, b: int) -> int
     return int(ddt_row(field, func, c, a)[b])
 
 
-# (a, x) pairs per slab of the general scan, (c, x) pairs per slab of
-# power-route rows, x's per chunk of a one-row power-route slab, and entries
-# per chunk of `_log_terms`: small enough that a slab or chunk and its
-# temporaries stay in cache
+# (a, x) pairs per coset slab of the general scan at most, (c, x) pairs per
+# slab of power-route rows, x's per chunk of a one-row power-route slab, and
+# entries per chunk of `_log_terms`: small enough that a slab or chunk and
+# its temporaries stay in cache
 _SLAB_PAIRS = 2**16
 
 
@@ -137,50 +140,64 @@ def _packing(p: int, k: int) -> tuple[np.ndarray, np.ndarray]:
 def general_uniformity(field: Field, func: FunctionSpec, c: int) -> CDDTReport:
     """Max count over all (a, b), excluding a = 0 exactly when c = 1."""
     c = field.check_element("c", c)
-    q = field.q
+    p, q = field.p, field.q
     values = value_table(field, func)
-    block = max(1, _SLAB_PAIRS // q)
-    offsets = np.arange(0, block * q, q)[:, None]   # bincount bins of each slab row
+    B = 1                   # rows per slab, a power of p that divides q
+    while B < q and B * p * q <= _SLAB_PAIRS:
+        B *= p
+    x, s = field.elements(), np.arange(B)[:, None]
     w = field.mul_v(field.neg(c), values)           # -c F(x)
-    if field.p == 2:
-        # x + a = a ^ x, so F(x+a) - c F(x) = F(a ^ x) ^ w; w < 2^n, so OR adds
-        # the row offsets above it and the XOR with F(a ^ x) < 2^n keeps them
-        x, w = field.elements(), w | offsets
+    if p == 2:
+        # F(y + lo) - c F(y - s) = values[y ^ lo] ^ w[y ^ s]; w < 2^n, so OR
+        # puts row s's bincount offset above it, and the XOR keeps it
+        table = w[x ^ s] | s * q
     else:
         t = (field.n + 1) // 2
-        P = field.p**t                      # x = x_hi P + x_lo
-        pack_lo, red_lo = _packing(field.p, t)
-        pack_hi, red_hi = _packing(field.p, field.n - t)
-        red_hi = red_hi * P                 # reduced high digits, shifted by P
+        P = p**t                            # x = x_hi P + x_lo
+        pack_lo, red_lo = _packing(p, t)
+        pack_hi, red_hi = _packing(p, field.n - t)
+        H = len(red_hi)                     # a sum of high halves is below H
         k = len(red_lo).bit_length()        # a sum of low halves is below 2^k
-
-        def packed(e):      # both halves of e in one int64, the high one above
-            return pack_hi[e // P] << k | pack_lo[e % P]
-
-        v, w = packed(values), packed(w)
+        # block s of red_rows reduces row s's high halves, shifted by P, and
+        # adds the row's bincount offset
+        red_rows = (red_hi * P + s * q).ravel()
+        ws = w[field.sub_v(x, s)]           # w[y - s]
+        table = (pack_hi[ws // P] + s * H) << k | pack_lo[ws % P]  # s above
+        pv = pack_hi[values // P] << k | pack_lo[values % P]
+    los = np.arange(0, q, B)
+    if c == 1 and p != 2:   # rows a and -a count alike, so slabs lo and -lo do
+        los = los[los <= field.sub_v(0, los)]
     hist = np.zeros(q + 1, dtype=np.int64)
     # Both kernels stay inline, so each slab's arrays live until the next
     # slab rebinds them.  Freed all at once, as on return from a per-slab
     # helper, their pages go back to the OS and every slab faults them in
     # again, at 1.5-2x the time per pair.
-    for lo in range(1 if c == 1 else 0, q, block):
-        a = np.arange(lo, min(lo + block, q), dtype=np.int64)[:, None]
-        rows = len(a)
-        if field.p == 2:
-            deltas = values[a ^ x]
-            deltas ^= w[:rows]
+    for lo in los.tolist():
+        half = c == 1 and lo != 0
+        if p == 2:
+            ys, ts = x, table
+            if half:
+                # y and y ^ a give the same b, and bit h = msb(lo) of a is
+                # set: count the y with bit h clear, each b twice
+                h = 1 << lo.bit_length() - 1
+                ys, ts = ys.reshape(-1, 2, h)[:, 0], ts.reshape(B, -1, 2, h)[:, :, 0]
+            deltas = ts ^ values[ys ^ lo]
         else:
-            xa = (red_hi[pack_hi[a // P] + pack_hi][:, :, None]
-                  + red_lo[pack_lo[a % P] + pack_lo][:, None, :]).reshape(rows, q)
-            sums = v[xa]
-            sums += w
+            xlo = (red_rows[pack_hi[lo // P] + pack_hi][:, None]
+                   + red_lo[pack_lo[lo % P] + pack_lo]).ravel()     # y + lo
+            sums = table + pv[xlo]
             high = sums >> k
             sums &= (1 << k) - 1
-            deltas = red_hi[high]
+            deltas = red_rows[high]
             deltas += red_lo[sums]
-            deltas += offsets[:rows]
-        counts = np.bincount(deltas.ravel(), minlength=rows * q)
-        hist += np.bincount(counts, minlength=q + 1)
+        counts = np.bincount(np.bincount(deltas.ravel(), minlength=B * q))
+        if half and p == 2:
+            hist[:2 * len(counts):2] += counts
+        else:
+            hist[:len(counts)] += 2 * counts if half else counts
+    if c == 1:              # drop row a = 0: F(x) - F(x) = 0 at every x
+        hist[q] -= 1
+        hist[0] -= q - 1
     return _slab_reports([c], hist[None], "full")[0]
 
 
@@ -286,7 +303,7 @@ def _count_orbits(f: Field, d: int, todo: dict[int, int],
     for lo in range(0, len(reps), block):
         c, lnc = reps[lo:lo + block], log_neg_c[lo:lo + block, None]
         r = len(c)
-        slab = buffer[:r]
+        slab, offsets = buffer[:r], np.arange(0, r * q, q)[:, None]
         for x0 in range(0, len(diff), _SLAB_PAIRS):
             xs = slice(x0, x0 + _SLAB_PAIRS)
             z = slab[:, xs]
@@ -299,7 +316,8 @@ def _count_orbits(f: Field, d: int, todo: dict[int, int],
             np.add(zech[z], ls[xs], out=z)
             np.minimum(u, u - um, out=u)
             z[zero] = m
-            z += np.arange(0, r * q, q)[:, None]
+            if r > 1:
+                z += offsets
         rows = np.bincount(slab.ravel(), minlength=r * q).reshape(r, q)
         rows[:, 0] += 1                                 # x = 0: b = 1
         rows[np.arange(r), log_at_minus_one[lo:lo + block]] += 1

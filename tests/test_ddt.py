@@ -342,9 +342,9 @@ def _rowwise_spectrum(f, func, c):
                                  (2, 9), (3, 6), (5, 3), (2, 10)])
 def test_general_route_on_random_lookup_tables(p, n, rng):
     # maps that are not power maps have a != 0 rows with different spectra;
-    # the fields cover n = 1, odd n and slabs that end part-way through;
-    # GF(2^10) runs the XOR kernel over 16 slabs of 64 rows, the last one
-    # partial at c = 1
+    # the fields cover n = 1, odd n, one slab and several; GF(2^10) runs the
+    # XOR kernel over 16 slabs of 64 rows, at c = 1 the half view in all
+    # but the a = 0 slab, and GF(3^6) 9 slabs of 81 rows, 5 of them at c = 1
     f = build_field(p, n)
     for _ in range(2):
         table = tuple(rng.randrange(f.q) for _ in range(f.q))
@@ -356,6 +356,34 @@ def test_general_route_on_random_lookup_tables(p, n, rng):
                 assert general_uniformity(f, func, f.inv(c)).spectrum == rep.spectrum
             if f.q <= 27:
                 assert rep.uniformity == brute_uniformity(f, table.__getitem__, c)
+
+
+@pytest.mark.parametrize("p,n", [(2, 6), (2, 7), (2, 8), (2, 9), (2, 10),
+                                 (3, 3), (3, 4), (5, 2), (7, 2), (5, 3)])
+def test_general_route_over_every_slab_shape(p, n, rng, monkeypatch):
+    # slabs of one row (64 and q pairs), p rows (p q pairs) and, for p = 2,
+    # two rows (2q pairs); one-row slabs at c = 1 over GF(2^n) take the half
+    # view at every bit h, and the odd-p fields pair slab lo with -lo over
+    # at least 3 slabs
+    f = build_field(p, n)
+    func = LookupTable(tuple(rng.randrange(f.q) for _ in range(f.q)))
+    for c in sorted({0, 1, f.generator, rng.randrange(f.q)}):
+        expected = _rowwise_spectrum(f, func, c)
+        for pairs in sorted({64, f.q, 2 * f.q, p * f.q}):
+            monkeypatch.setattr(ddt, "_SLAB_PAIRS", pairs)
+            assert general_uniformity(f, func, c).spectrum == expected, (p, n, c, pairs)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_general_route_at_c1_over_binary_fields(n, rng):
+    # at c = 1 x and x + a solve the same equation, so every count is even,
+    # and the q - 1 rows a != 0 hold (q - 1) q pairs
+    f = build_field(2, n)
+    for _ in range(3):
+        func = LookupTable(tuple(rng.randrange(f.q) for _ in range(f.q)))
+        spectrum = general_uniformity(f, func, 1).spectrum
+        assert all(v % 2 == 0 for v, _ in spectrum)
+        assert sum(m for _, m in spectrum) == (f.q - 1) * f.q
 
 
 def test_uniformity_against_scalar_brute_force(rng):
