@@ -7,8 +7,9 @@ it and uses neither the Zech table nor the report cache below.  A slab is
 a coset of rows a = lo + s, with s below B = p^j (a subgroup), B q <= 2^16
 and lo a multiple of B.  With y = x + s, F(x+a) - c F(x) is
 F(y + lo) - c F(y - s), whose second term, with each row's bincount offset,
-is one (B, q) table per scan.  A slab is one q-element gather of F(y + lo)
-and one XOR (p = 2) or add (odd p) per pair before the two bincounts.  For
+is one (B, q) table per scan.  A slab is one q-element gather of F(y + lo),
+one XOR (p = 2) or add (odd p) per pair, a bincount of the pairs' cells and
+a histogram of those counts, by one uint8 compare per count below 16.  For
 odd p each encoding splits into its low t = ceil(n/2) and high n - t
 base-p digits, each written in radix 2p-1, where two halves add as plain
 integers with no carries; a table per half, the high one with a block per
@@ -121,6 +122,22 @@ def delta_count(field: Field, func: FunctionSpec, c: int, a: int, b: int) -> int
 # entries per chunk of `_log_terms`: small enough that a slab or chunk and
 # its temporaries stay in cache
 _SLAB_PAIRS = 2**16
+# Counts below this are histogrammed by uint8 compares, at about 6 us per
+# compared value against about 100 us for one 2^16-cell bincount
+_BYTE_COUNTS = 16
+
+
+def _count_histogram(cnt: np.ndarray, c8: np.ndarray, eq: np.ndarray) -> np.ndarray:
+    """np.bincount(cnt); c8 and eq are uint8 and bool buffers of cnt's length."""
+    top = int(cnt.max())
+    if top >= _BYTE_COUNTS:
+        return np.bincount(cnt)
+    np.copyto(c8, cnt, casting="unsafe")
+    hist = np.empty(top + 1, dtype=np.int64)
+    for v in range(1, top + 1):
+        hist[v] = np.count_nonzero(np.equal(c8, v, out=eq))
+    hist[0] = len(cnt) - hist[1:].sum()
+    return hist
 
 
 def _packing(p: int, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -168,10 +185,11 @@ def general_uniformity(field: Field, func: FunctionSpec, c: int) -> CDDTReport:
     if c == 1 and p != 2:   # rows a and -a count alike, so slabs lo and -lo do
         los = los[los <= field.sub_v(0, los)]
     hist = np.zeros(q + 1, dtype=np.int64)
-    # Both kernels stay inline, so each slab's arrays live until the next
-    # slab rebinds them.  Freed all at once, as on return from a per-slab
-    # helper, their pages go back to the OS and every slab faults them in
-    # again, at 1.5-2x the time per pair.
+    c8, eq = np.empty(B * q, dtype=np.uint8), np.empty(B * q, dtype=bool)
+    # Both kernels stay inline and the histogram's buffers last the scan, so
+    # each slab's arrays live until the next slab rebinds them.  Freed all at
+    # once, as on return from a per-slab helper, their pages go back to the
+    # OS and every slab faults them in again, at 1.5-2x the time per pair.
     for lo in los.tolist():
         half = c == 1 and lo != 0
         if p == 2:
@@ -190,7 +208,7 @@ def general_uniformity(field: Field, func: FunctionSpec, c: int) -> CDDTReport:
             sums &= (1 << k) - 1
             deltas = red_rows[high]
             deltas += red_lo[sums]
-        counts = np.bincount(np.bincount(deltas.ravel(), minlength=B * q))
+        counts = _count_histogram(np.bincount(deltas.ravel(), minlength=B * q), c8, eq)
         if half and p == 2:
             hist[:2 * len(counts):2] += counts
         else:
@@ -322,7 +340,8 @@ def _count_orbits(f: Field, d: int, todo: dict[int, int],
         rows[:, 0] += 1                                 # x = 0: b = 1
         rows[np.arange(r), log_at_minus_one[lo:lo + block]] += 1
         s = max(int(rows.max()), math.gcd(d, m)) + 1    # above every count, a = 0 too
-        rows += np.arange(0, r * s, s)[:, None]
+        if r > 1:
+            rows += np.arange(0, r * s, s)[:, None]
         hists = np.bincount(rows.ravel(), minlength=r * s).reshape(r, s)
         del rows
         for v, number in _image_counts(q, d):           # a = 0 row: (1-c) x^d = b

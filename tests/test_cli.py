@@ -406,6 +406,17 @@ def test_table_csv_headers(capsys):
      "d6fc384ea191beccbf9d38fd407b9b2e51b5485c52951866bae6e3575ab158e3"),
     (("table", "--csv"),
      "b5561240bfdbe35764929fee11c1f15f51e4cdbeb79bdba0bbce8eeed68748ce"),
+    # the general route: x^4 is linear, so every count is 4096 and each slab
+    # takes the bincount; at d = 21 only the slab of a = 0 (top count 21)
+    # does; odd p at c = g and at c = 1
+    (("spectrum", "-p", "2", "-n", "12", "-d", "4", "-c", "1", "--csv"),
+     "882b58990d751e286371bcd5b66d69a2561be4372289083d6753e9aa4cd4f489"),
+    (("spectrum", "-p", "2", "-n", "12", "-d", "21", "-c", "g", "--csv"),
+     "d073e76c3af009b90716e9d3039831ea71fc80ce6ea390795bf3d9e722cc6cf5"),
+    (("spectrum", "-p", "5", "-n", "5", "-d", "3", "-c", "g", "--csv"),
+     "780af36dc7fe535da7d3939bb5dc517bf19e312a19d8c5d196a286300ebcf5df"),
+    (("spectrum", "-p", "3", "-n", "7", "-d", "5", "-c", "1", "--csv"),
+     "0030727bb1c3aeaf574c05f08c6a93df81693573c022783fb939fc08d89391d0"),
 ])
 def test_csv_output_is_pinned(capsys, argv, digest):
     code, out, _ = run_cli(capsys, *argv)

@@ -386,6 +386,22 @@ def test_general_route_at_c1_over_binary_fields(n, rng):
         assert sum(m for _, m in spectrum) == (f.q - 1) * f.q
 
 
+@settings(derandomize=True, deadline=None)
+@given(st.integers(1, 2**16),
+       st.sampled_from([0, 1, 15, 16, 255, 256]) | st.integers(0, 2**20),
+       st.integers(0, 2**32 - 1))
+def test_count_histogram_equals_bincount(length, top, seed):
+    # counts of 256 and above would wrap in the uint8 copy, so they must
+    # take the bincount
+    gen = np.random.default_rng(seed)
+    cnt = gen.integers(0, top + 1, size=length)
+    cnt[gen.integers(length)] = top
+    c8, eq = np.empty(length, dtype=np.uint8), np.empty(length, dtype=bool)
+    hist = ddt._count_histogram(cnt, c8, eq)
+    assert hist.dtype == np.int64
+    assert hist.tolist() == np.bincount(cnt).tolist()
+
+
 def test_uniformity_against_scalar_brute_force(rng):
     f = build_field(3, 2)
     for d in (2, 4, 5, 6, 8):
