@@ -122,17 +122,17 @@ def _instance_lines(report: theorems.VerificationReport) -> str:
     per branch run (`VerificationReport.runs`)."""
     case_json = _json_str(report.case_id)
     lines = []
-    for (p, n, d, k, label, predicted), results in report.runs():
-        mid = (f',"case":{case_json},"condition":{_json_str(label)},'
-               f'"d":{d},"k":{_json_int(k)},"n":{n},"observed":')
-        tail = (f',"p":{p},"predicted":{_json_str(predicted.render())},'
+    for run in report.runs:
+        head = run.instances[0]
+        mid = (f',"case":{case_json},"condition":{_json_str(head.c_label)},'
+               f'"d":{head.d},"k":{_json_int(head.k)},"n":{head.n},"observed":')
+        tail = (f',"p":{head.p},"predicted":{_json_str(head.predicted.render())},'
                 f'"record":"instance","schema":"{SCHEMA}"}}\n')
-        for result in results:
-            observed = result.observed
+        for inst, observed, ok in zip(*run):
             if isinstance(observed, tuple):
                 observed = "[" + ",".join(map(str, observed)) + "]"
-            lines.append(f'{{"c":{_json_int(result.instance.c)}{mid}{observed},'
-                         f'"ok":{"true" if result.ok else "false"}{tail}')
+            lines.append(f'{{"c":{_json_int(inst.c)}{mid}{observed},'
+                         f'"ok":{"true" if ok else "false"}{tail}')
     return "".join(lines)
 
 
@@ -150,12 +150,12 @@ def _cmd_verify(args) -> int:
     ids = [args.case] if args.case is not None else None
     printed = failed = False
     for report in theorems.verify_all(case_ids=ids, max_size=args.max_size):
-        if not report.results:      # a row whose grid --max-size drops prints nothing
+        if not report.runs:         # a row whose grid --max-size drops prints nothing
             continue
         sys.stdout.write(_instance_lines(report))
         _print_record({"schema": SCHEMA, "record": "case-verdict",
                        "case": report.case_id, "passed": report.passed,
-                       "instances": len(report.results),
+                       "instances": sum(len(run.instances) for run in report.runs),
                        "max_attained": report.max_attained})
         printed, failed = True, failed or not report.passed
     if not printed:

@@ -305,7 +305,8 @@ def sign_partition(field: Field) -> SignPartition:
 @dataclass(frozen=True)
 class JacobsthalCounts:
     """N1 = #{x != 0, +-1 : x^2 - x is a nonzero square} and N2 likewise for
-    x^2 + x; both equal (q - 4 - eta(-1)) / 2."""
+    x^2 + x; both are (q - 4 - eta(2)) / 2, since (q - 3)/2 of the x not in {0, 1}
+    make x^2 - x a square and x = -1 makes it 2 (= -1 in characteristic 3)."""
     n1: int
     n2: int
     predicted: int
@@ -322,6 +323,5 @@ def jacobsthal_counts(field: Field) -> JacobsthalCounts:
     sq = field.mul_v(x, x)
     n1 = int(np.count_nonzero(keep & (eta[field.sub_v(sq, x)] == 1)))
     n2 = int(np.count_nonzero(keep & (eta[field.add_v(sq, x)] == 1)))
-    eta_minus_one = field.quadratic_character(minus_one)
-    predicted = (field.q - 4 - eta_minus_one) // 2
+    predicted = (field.q - 4 - field.quadratic_character(field.from_int(2))) // 2
     return JacobsthalCounts(n1=n1, n2=n2, predicted=predicted)

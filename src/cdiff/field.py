@@ -218,7 +218,7 @@ class Field:
 
         factors = prime_factors(q - 1) if q > 2 else []
         gen_digits = [1] + [0] * (n - 1)    # least encoding of full order; 1 when q == 2
-        for e in range(2, q):
+        for e in range(2 if n == 1 else p, q):      # a constant's order divides p-1
             if _multiplicative_order_is_full(_digits(e, p, n), modulus, p, q, factors):
                 gen_digits = _digits(e, p, n)
                 break

@@ -25,7 +25,7 @@ import numpy as np
 
 from cdiff.field import Field, build_field, DEFAULT_SIZE_CAP
 from cdiff.ddt import sweep
-from cdiff.funcs import PowerMap
+from cdiff.funcs import PowerMap, check_exponent
 
 
 # ---------------------------------------------------------------------------
@@ -85,25 +85,38 @@ class Instance(NamedTuple):
     c_values: tuple[int, ...] | None = None
 
 
-class InstanceResult(NamedTuple):
-    instance: Instance
-    observed: int | tuple[int, ...]
-    ok: bool
+class BranchRun(NamedTuple):
+    """Consecutive checked instances of one branch: they share (p, n, d, k,
+    c_label, predicted), and `observed[i]` and `ok[i]` are the uniformity
+    seen at `instances[i]` (the sorted value set for a sweep) and its
+    verdict."""
+    instances: tuple[Instance, ...]
+    observed: tuple[int | tuple[int, ...], ...]
+    ok: tuple[bool, ...]
 
 
 @dataclass(frozen=True)
 class VerificationReport:
+    """A case's results as its branch runs, in the instances' order."""
     case_id: str
-    passed: bool
-    results: tuple[InstanceResult, ...]
-    counterexamples: tuple[InstanceResult, ...]
-    max_attained: int | None           # over UpperBound instances, if any
+    runs: tuple[BranchRun, ...]
 
-    def runs(self):
-        """The results as branch runs: `groupby` pairs keyed by the (p, n, d,
-        k, c_label, predicted) of their instances, in the results' order."""
-        key = attrgetter("p", "n", "d", "k", "c_label", "predicted")
-        return groupby(self.results, lambda r: key(r.instance))
+    @property
+    def passed(self) -> bool:
+        return all(all(run.ok) for run in self.runs)
+
+    @property
+    def counterexamples(self) -> list[tuple[Instance, int | tuple[int, ...]]]:
+        """(instance, observed) of every failed check."""
+        return [(inst, obs) for run in self.runs
+                for inst, obs, ok in zip(*run) if not ok]
+
+    @property
+    def max_attained(self) -> int | None:
+        """The largest uniformity observed under an UpperBound, if any."""
+        return max((obs for run in self.runs
+                    if isinstance(run.instances[0].predicted, UpperBound)
+                    for obs in run.observed), default=None)
 
 
 # ---------------------------------------------------------------------------
@@ -133,9 +146,10 @@ class Row:
     field's elements; `sweep`, where it knows the field's value set, then adds
     one aggregated instance over the last branch's c values.
 
-    At (field, d, c) the row looks up the first family exponent that is the
-    same map as x^d; it applies when one of its branches, which are disjoint,
-    accepts c (a one-element array), and that branch gives the prediction.
+    At (field, d, c) the row looks up the first family exponent e that is the
+    same map as x^d (e = d mod q-1); it applies when one of its branches,
+    which are disjoint, accepts c (a one-element array), and that branch
+    gives the prediction.
     """
     id: str
     statement: str
@@ -160,9 +174,10 @@ class Row:
                          f"array of its shape ({problem})")
 
     def predict(self, field: Field, d: int, c: int) -> Prediction | None:
-        d, cs = _fexp(field.q, d), np.array([c], dtype=np.int64)
+        """A ValueError names d or c unless d is an int >= 1 and c an element."""
+        d, cs = check_exponent(d), np.array([field.check_element("c", c)], dtype=np.int64)
         for e, k in self.family(field):
-            if _fexp(field.q, e) == d:
+            if (e - d) % (field.q - 1) == 0:
                 return next((_at(b.predicted, field, k) for b in self.branches
                              if self._mask(b, field, k, cs)[0]), None)
         return None
@@ -192,13 +207,6 @@ class Row:
 
 def _at(value, field: Field, k: int | None):
     return value(field, k) if callable(value) else value
-
-
-def _fexp(q: int, d: int) -> int:
-    """Functional exponent: x^d and x^e agree on GF(q) iff their exponents
-    match after reduction into [1, q-1] (d, e >= 1)."""
-    r = d % (q - 1) if q > 2 else 0
-    return r if r else q - 1
 
 
 # ---------------------------------------------------------------------------
@@ -449,41 +457,31 @@ def applicable_cases(field: Field, d: int, c: int) -> list[Row]:
 # Verification engine
 # ---------------------------------------------------------------------------
 
-def _evaluate_group(key, instances):
-    """One `sweep` over every c the group's instances ask for, repeats kept."""
-    p, n, d = key
-    cs = [c for inst in instances
-          for c in ((inst.c,) if inst.c is not None else inst.c_values)]
-    observed_at = {r.c: r.uniformity
-                   for r in sweep(build_field(p, n), PowerMap(d), cs)}
-    out = []
-    for inst in instances:
-        if inst.c is not None:
-            observed = observed_at[inst.c]
-        else:
-            observed = tuple(sorted({observed_at[c] for c in inst.c_values}))
-        out.append(InstanceResult(instance=inst, observed=observed,
-                                  ok=inst.predicted.check(observed)))
-    return out
-
-
 def verify_case(case: Row, instances: list[Instance] | None = None,
                 max_size: int = DEFAULT_SIZE_CAP) -> VerificationReport:
     """Check every instance of a case; reports (never raises) on prediction
-    failure, in the instances' order.  Each run of instances with one (field,
-    d) is one `ddt.sweep`, which counts only the orbits of c that no earlier
-    sweep in the process has counted for d's exponent class, so rows that
-    share a field and an exponent class count each orbit once."""
+    failure, as branch runs in the instances' order.  Each run of instances
+    with one (field, d) is one `ddt.sweep` over every c they ask for, repeats
+    kept, which counts only the orbits of c that no earlier sweep in the
+    process has counted for d's exponent class, so rows that share a field
+    and an exponent class count each orbit once."""
     if instances is None:
         instances = case.default_instances(max_size)
-    results = tuple(r for key, group in groupby(instances, attrgetter("p", "n", "d"))
-                    for r in _evaluate_group(key, list(group)))
-    bad = tuple(r for r in results if not r.ok)
-    ub_observed = [r.observed for r in results
-                   if isinstance(r.instance.predicted, UpperBound)]
-    return VerificationReport(case_id=case.id, passed=not bad, results=results,
-                              counterexamples=bad,
-                              max_attained=max(ub_observed) if ub_observed else None)
+    runs = []
+    for (p, n, d), group in groupby(instances, attrgetter("p", "n", "d")):
+        group = list(group)
+        cs = [c for inst in group
+              for c in ((inst.c,) if inst.c is not None else inst.c_values)]
+        observed_at = {r.c: r.uniformity
+                       for r in sweep(build_field(p, n), PowerMap(d), cs)}
+        for _, run in groupby(group, attrgetter("k", "c_label", "predicted")):
+            run = tuple(run)
+            observed = tuple(observed_at[inst.c] if inst.c is not None
+                             else tuple(sorted({observed_at[c] for c in inst.c_values}))
+                             for inst in run)
+            check = run[0].predicted.check
+            runs.append(BranchRun(run, observed, tuple(map(check, observed))))
+    return VerificationReport(case.id, tuple(runs))
 
 
 def verify_all(case_ids: list[str] | None = None,
@@ -503,17 +501,16 @@ TABLE_COLUMNS = ("case", "p", "n", "d", "condition", "predicted", "observed", "v
 
 
 def _summarize(report: VerificationReport) -> list[dict]:
-    """One row per branch run of a case's results, in the results' order."""
+    """One row per branch run of a case, in the runs' order."""
     rows = []
-    for (p, n, d, _, label, predicted), rs in report.runs():
-        observed, ok = set(), True
-        for r in rs:
-            observed.update(r.observed if isinstance(r.observed, tuple) else (r.observed,))
-            ok = ok and r.ok
-        rows.append({"case": report.case_id, "p": p, "n": n, "d": d,
-                     "condition": label, "predicted": predicted.render(),
+    for run in report.runs:
+        head, observed = run.instances[0], set()
+        for obs in run.observed:
+            observed.update(obs if isinstance(obs, tuple) else (obs,))
+        rows.append({"case": report.case_id, "p": head.p, "n": head.n, "d": head.d,
+                     "condition": head.c_label, "predicted": head.predicted.render(),
                      "observed": "{" + ",".join(map(str, sorted(observed))) + "}",
-                     "verdict": "pass" if ok else "FAIL"})
+                     "verdict": "pass" if all(run.ok) else "FAIL"})
     return rows
 
 

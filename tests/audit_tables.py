@@ -1,0 +1,104 @@
+"""Audit the exp/log tables of every field above 2^16, up to the size cap.
+
+Both counting routes read the same tables, so a wrong table would make them
+agree on wrong answers.  For each field, with no table of the build:
+
+1. exp[k+1] = g exp[k] for every k (indices mod q-1), each product a
+   schoolbook digit convolution with g reduced mod the modulus;
+2. exp is a permutation of 1..q-1, and exp[0] = 1;
+3. log[exp[k]] = k.
+
+Every nonzero residue is then a power of g, so the residues form a field: the
+modulus is irreducible, and g is primitive.
+
+Fields: every (p, n >= 2) with 2^16 < q <= 2^22, then the three largest
+primes below 2^22.  The field cache is cleared after each field, so memory
+stays flat.
+
+Usage: PYTHONPATH=src python3 tests/audit_tables.py
+
+Prints one line per field that fails and a summary line, and exits 1 if any
+field fails.  A failure is a finding about the build, never a reason to
+narrow the fields.
+"""
+
+from __future__ import annotations
+
+import sys
+import time
+from itertools import islice
+
+import numpy as np
+
+from cdiff import field
+from cdiff.field import DEFAULT_SIZE_CAP, Field, build_field, is_prime
+
+EXTENSION_FIELDS = [(p, n) for p in range(2, 2**11) if is_prime(p)
+                    for n in range(2, 23) if 2**16 < p**n <= DEFAULT_SIZE_CAP]
+PRIME_FIELDS = list(islice(((p, 1) for p in range(DEFAULT_SIZE_CAP, 1, -1) if is_prime(p)), 3))
+CHUNK = 2**16
+
+
+def times_generator(f: Field, x: np.ndarray) -> np.ndarray:
+    """g x for an int64 array of encodings: the digit convolution of x and g,
+    then each coefficient of x^top, top >= n, folded down by x^n = -(m_0 +
+    ... + m_{n-1} x^{n-1}) for the monic modulus m."""
+    p, n = f.p, f.n
+    powers = p ** np.arange(n, dtype=np.int64)
+    digits = x // powers[:, None] % p             # digit i of every x in row i
+    conv = np.zeros((2 * n - 1, len(x)), dtype=np.int64)
+    for j, g_j in enumerate(f.coeffs(f.generator)):
+        if g_j:
+            conv[j:j + n] += digits * g_j
+    for top in range(2 * n - 2, n - 1, -1):
+        c = conv[top] % p
+        for i, m_i in enumerate(f.modulus[:n]):
+            if m_i:
+                conv[top - n + i] -= c * m_i
+    return powers @ (conv[:n] % p)
+
+
+def audit(f: Field) -> list[str]:
+    """What is wrong with the field's tables; empty when nothing is."""
+    q, exp, log = f.q, f.exp.astype(np.int64), f.log
+    if len(exp) != q - 1 or exp.min() < 1 or exp.max() >= q:
+        return [f"exp has {len(exp)} entries in [{exp.min()}, {exp.max()}], "
+                f"not q-1 = {q - 1} in [1, q-1]"]
+    problems = []
+    if exp[0] != 1:
+        problems.append(f"exp[0] = {exp[0]}, not 1")
+    following = np.roll(exp, -1)
+    for lo in range(0, q - 1, CHUNK):
+        wrong = np.flatnonzero(times_generator(f, exp[lo:lo + CHUNK])
+                               != following[lo:lo + CHUNK])
+        if len(wrong):
+            k = lo + int(wrong[0])
+            problems.append(f"exp[{(k + 1) % (q - 1)}] = {following[k]} is not "
+                            f"g exp[{k}] (and {len(wrong) - 1} more in its chunk)")
+            break
+    if not (np.bincount(exp, minlength=q)[1:] == 1).all():
+        problems.append("exp is not a permutation of 1..q-1")
+    elif not np.array_equal(log[exp], np.arange(q - 1)):
+        problems.append("log[exp[k]] != k for some k")
+    return problems
+
+
+def main() -> int:
+    start, failed = time.perf_counter(), 0
+    for p, n in EXTENSION_FIELDS + PRIME_FIELDS:
+        try:
+            problems = audit(build_field(p, n))
+        except ValueError as exc:
+            problems = [f"build failed: {exc}"]
+        if problems:
+            failed += 1
+            print(f"FAIL GF({p}^{n}): " + "; ".join(problems))
+        field._FIELD_CACHE.clear()
+    print(f"{len(EXTENSION_FIELDS)} extension fields with 2^16 < q <= 2^22 and "
+          f"{len(PRIME_FIELDS)} prime fields near the cap, {failed} failed, "
+          f"{time.perf_counter() - start:.1f} s")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -40,11 +40,11 @@ def check(row, p: int, n: int) -> VerificationReport:
     a failure."""
     report = verify_case(dataclasses.replace(row, fields=((p, n),)))
     if not report.passed:
-        bad = report.counterexamples[0]
-        print(f"FAIL {row.id} over GF({p}^{n}): {len(report.counterexamples)} "
-              f"counterexamples, first d = {bad.instance.d}, "
-              f"c = {bad.instance.c}, predicted "
-              f"{bad.instance.predicted.render()}, observed {bad.observed}")
+        bad = report.counterexamples
+        inst, observed = bad[0]
+        print(f"FAIL {row.id} over GF({p}^{n}): {len(bad)} counterexamples, "
+              f"first d = {inst.d}, c = {inst.c}, predicted "
+              f"{inst.predicted.render()}, observed {observed}")
     return report
 
 
@@ -67,7 +67,7 @@ def main() -> int:
             if row.family(f):
                 report = check(row, p, n)
                 pairs += 1
-                instances += len(report.results)
+                instances += sum(len(run.instances) for run in report.runs)
                 single_failed += not report.passed
         field._FIELD_CACHE.clear()
         ddt._CONTEXTS.clear()

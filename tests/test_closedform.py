@@ -338,6 +338,20 @@ def test_jacobsthal_counts():
         assert j.n1 == j.n2 == j.predicted == expected
 
 
+def test_jacobsthal_counts_beyond_characteristic_three():
+    # x = -1 makes x^2 - x = 2, so the counts turn on eta(2), which differs
+    # from eta(-1) once p > 3 (GF(5): 1 against (5 - 4 - 1) / 2 = 0)
+    fields = [(p, n) for p in (5, 7, 11, 13, 17) for n in range(1, 6) if p**n <= 2500]
+    assert len(fields) == 16
+    for p, n in fields:
+        f = build_field(p, n)
+        outside = [x for x in range(f.q) if x not in (0, 1, f.neg(1))]
+        n1 = sum(f.quadratic_character(f.sub(f.mul(x, x), x)) == 1 for x in outside)
+        n2 = sum(f.quadratic_character(f.add(f.mul(x, x), x)) == 1 for x in outside)
+        j = jacobsthal_counts(f)
+        assert j.n1 == j.n2 == j.predicted == n1 == n2, (p, n, j)
+
+
 def test_jacobsthal_brute_force_cross_check():
     f = build_field(3, 3)
     minus_one = f.neg(1)

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from cdiff.field import build_field, is_prime, DEFAULT_SIZE_CAP
 from cdiff import ddt
+from cdiff.cli import main as cli_main
 from cdiff.ddt import power_uniformity
 from cdiff.theorems import (Exact, UpperBound, ValueSet, Instance, Branch, Row,
                             registry, case_by_id, applicable_cases, verify_case,
@@ -81,6 +83,20 @@ def test_applicable_cases_exclusions():
     assert not any(i.startswith("half-pn") for i in ids)
 
 
+@pytest.mark.parametrize("d,c,match", [
+    (-1, 0, "d = -1"), (0, 0, "d = 0"), (2.0, 0, "d = 2.0"),
+    (2, 9, "c = 9 is not an element of GF"), (2, -1, "c = -1 is not an element of GF"),
+    (2, 1.0, "c = 1.0 is not an element of GF"),
+])
+def test_predict_names_a_bad_exponent_or_c(d, c, match):
+    # d = -1 is not read as x^(q-2), nor c = -1 as the field's -1 (encoding 2)
+    f = build_field(3, 2)
+    with pytest.raises(ValueError, match=match):
+        applicable_cases(f, d, c)
+    with pytest.raises(ValueError, match=match):
+        case_by_id("square").predict(f, d, c)
+
+
 def test_gold_binary_m3_applicable():
     f = build_field(2, 6)
     c_outside = f.generator
@@ -100,14 +116,14 @@ def test_verify_half_gold_instance():
     inst = Instance(3, 4, (3**2 + 1) // 2, 2, 2, "c = -1", Exact(5))
     report = verify_case(case, instances=[inst])
     assert report.passed
-    assert report.results[0].observed == 5
+    assert report.runs[0].observed == (5,)
 
 
 def test_verify_two_thirds_default_grid():
     report = verify_case(case_by_id("two-thirds"), max_size=200)
     assert report.passed
     assert report.max_attained is not None and report.max_attained <= 3
-    ps = {(r.instance.p, r.instance.n) for r in report.results}
+    ps = {(inst.p, inst.n) for run in report.runs for inst in run.instances}
     assert (5, 1) in ps
 
 
@@ -115,7 +131,7 @@ def test_verify_inverse_c0_example():
     case = case_by_id("inverse-c0")
     inst = Instance(7, 2, 47, None, 0, "c = 0", Exact(1))
     report = verify_case(case, instances=[inst])
-    assert report.passed and report.results[0].observed == 1
+    assert report.passed and report.runs[0].observed == (1,)
 
 
 def test_verify_gold_binary_example():
@@ -124,7 +140,7 @@ def test_verify_gold_binary_example():
     insts = [Instance(2, 6, 5, 2, c, "c outside GF(2^2)", Exact(5))
              for c in range(f.q) if not f.in_subfield(c, 2)]
     report = verify_case(case, instances=insts)
-    assert report.passed and len(report.results) == 64 - 4
+    assert report.passed and [len(run.instances) for run in report.runs] == [64 - 4]
 
 
 def test_verify_value_set_instance():
@@ -135,7 +151,7 @@ def test_verify_value_set_instance():
                     c_values=others)
     report = verify_case(case, instances=[inst])
     assert report.passed
-    assert report.results[0].observed == (2, 4, 5)
+    assert report.runs[0].observed == ((2, 4, 5),)
 
 
 def test_value_set_row_on_a_field_without_a_known_set():
@@ -152,19 +168,19 @@ def test_verify_records_failures_without_raising():
                (Branch("c = 0", lambda f, k, c: c == 0, Exact(99)),))
     report = verify_case(fake)
     assert not report.passed
-    assert len(report.counterexamples) == 1
-    assert report.counterexamples[0].observed == 2
+    assert report.counterexamples == [(fake.default_instances(DEFAULT_SIZE_CAP)[0], 2)]
 
 
 def test_records_are_immutable_and_hash_by_value():
     inst = Instance(3, 2, 2, None, 5, "c != 1", Exact(2))
     twin = Instance(3, 2, 2, None, 5, "c != 1", Exact(2))
-    result = verify_case(case_by_id("square"), instances=[inst]).results[0]
-    again = verify_case(case_by_id("square"), instances=[twin]).results[0]
+    run = verify_case(case_by_id("square"), instances=[inst]).runs[0]
+    again = verify_case(case_by_id("square"), instances=[twin]).runs[0]
     assert inst == twin and hash(inst) == hash(twin) and inst.c_values is None
-    assert result == again and hash(result) == hash(again)
+    assert run == again and hash(run) == hash(again)
+    assert run == ((inst,), (2,), (True,))
     assert inst != inst._replace(c=6)
-    for record, attr in ((inst, "c"), (result, "ok")):
+    for record, attr in ((inst, "c"), (run, "ok")):
         with pytest.raises(AttributeError):
             setattr(record, attr, None)
 
@@ -201,18 +217,31 @@ def test_verify_all_filter_and_max_size():
     assert [r.case_id for r in reports] == ["square", "bt-rows"]
     assert all(r.passed for r in reports)
     for r in reports:
-        assert all(res.instance.p ** res.instance.n <= 150 for res in r.results)
+        assert all(inst.p ** inst.n <= 150 for run in r.runs for inst in run.instances)
     assert list(verify_all(case_ids=[])) == []
 
 
-def test_runs_are_the_branches_in_grid_order_then_the_sweep():
+def test_runs_are_the_branches_in_grid_order_then_the_sweep(capsys):
     report = verify_case(case_by_id("pn-minus-3"), max_size=9)
-    runs = [(key, len(list(rs))) for key, rs in report.runs()]
-    assert [key[:5] for key, _ in runs] == [
-        (3, 2, 6, None, "c = -1"), (3, 2, 6, None, "c = 0"),
-        (3, 2, 6, None, "c not in {0,1,-1}"), (3, 2, 6, None, "sweep c not in {0,1,-1}")]
-    assert [size for _, size in runs] == [1, 1, 6, 1]
-    assert sum(size for _, size in runs) == len(report.results)
+    assert [(run.instances[0][:4] + (run.instances[0].c_label,), len(run.instances))
+            for run in report.runs] == [
+        ((3, 2, 6, None, "c = -1"), 1), ((3, 2, 6, None, "c = 0"), 1),
+        ((3, 2, 6, None, "c not in {0,1,-1}"), 6),
+        ((3, 2, 6, None, "sweep c not in {0,1,-1}"), 1)]
+    key = attrgetter("p", "n", "d", "k", "c_label", "predicted")
+    assert cli_main(["verify", "--max-size", "250"]) == 0
+    printed = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    counts = {r["case"]: r["instances"] for r in printed if r["record"] == "case-verdict"}
+    reports = list(verify_all(max_size=250))
+    assert {report.case_id for report in reports if report.runs} == set(counts)
+    for report in reports:
+        runs = report.runs
+        assert all(key(a.instances[0]) != key(b.instances[0])
+                   for a, b in zip(runs, runs[1:])), report.case_id
+        for run in runs:
+            assert {key(inst) for inst in run.instances} == {key(run.instances[0])}
+            assert len(run.observed) == len(run.ok) == len(run.instances)
+        assert sum(len(run.instances) for run in runs) == counts.get(report.case_id, 0)
 
 
 def test_verify_all_equals_one_verify_case_per_row():
@@ -258,7 +287,7 @@ def test_off_grid_rows_sharing_an_exponent_count_each_orbit_once(counted_rows):
                     "half-pn-plus1", "half-pn-plus1-refined"):
         report = verify_case(dataclasses.replace(case_by_id(case_id), fields=((3, 4),)))
         assert report.passed, case_id
-        instances.extend(r.instance for r in report.results)
+        instances.extend(inst for run in report.runs for inst in run.instances)
     assert len(counted_rows) == len(_orbit_classes(instances)) == 26
 
 
