@@ -67,7 +67,7 @@ def _dickson_ladder(field: Field, m: int, x):
     elements; the constants broadcast against it.
     """
     if m < 0:
-        raise ValueError("Dickson degree must be >= 0")
+        raise ValueError(f"Dickson degree must be >= 0, got m = {m!r}")
     two = field.from_int(2)
     lo, hi = np.full(np.shape(x), two, dtype=np.int64), x
     for bit in bin(m)[2:]:

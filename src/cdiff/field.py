@@ -167,9 +167,13 @@ def _digit_add(x, y, p: int, n: int):
     return out
 
 
-def _like(x, value):
-    """`value` as an array where x is one, else as a Python int or bool."""
-    return value if isinstance(x, np.ndarray) else value.item()
+def _like(value, *operands):
+    """`value` as an array where an operand is one, else as a Python int or
+    bool."""
+    for x in operands:
+        if isinstance(x, np.ndarray):
+            return value
+    return value.item()
 
 
 @dataclass(frozen=True)
@@ -294,94 +298,75 @@ class Field:
     def g_pow(self, k: int) -> int:
         return int(self.exp[k % (self.q - 1)])
 
-    # -- scalar arithmetic ---------------------------------------------------
+    # -- element maps ---------------------------------------------------------
+    # Each takes ints or int64 arrays of encodings: ints give a Python int,
+    # and an array in any operand gives an int64 array.
 
-    def add(self, a: int, b: int) -> int:
-        return _digit_add(a, b, self.p, self.n)
+    def add(self, x, y):
+        return _digit_add(x, y, self.p, self.n)
 
-    def neg(self, a: int) -> int:
-        return self.mul(a, self.p - 1)      # -1 is encoded as the integer p - 1
+    def neg(self, x):
+        return self.mul(x, self.p - 1)      # -1 is encoded as the integer p - 1
 
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
+    def sub(self, x, y):
+        return self.add_v(x, self.mul_v(y, self.p - 1))
 
-    def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        return int(self.exp[(int(self.log[a]) + int(self.log[b])) % (self.q - 1)])
+    def mul(self, x, y):
+        k = self.log_v(x)
+        k += self.log[y]
+        k %= self.q - 1         # an int64 zero makes the result int64, not int32
+        return _like(np.where((x == 0) | (y == 0), np.int64(0), self.exp[k]), x, y)
 
-    def inv(self, a):
-        """1/a, for an int or an int64 array of encodings."""
-        if np.any(a == 0):
+    def pow(self, x, d: int):
+        """x^d for an integer d >= 0; pow(x, 0) = 1 for every x, pow(0, d) = 0
+        for d >= 1.  The exponent is reduced mod q-1 only for nonzero bases."""
+        if d < 0:
+            raise ValueError(f"exponent must be >= 0, got d = {d!r}")
+        k = self.log_v(x)       # x^d = g^(d log x); log 0 = 0, so 0^0 = g^0 = 1
+        k *= d % (self.q - 1)
+        k %= self.q - 1
+        return _like(np.where((x == 0) & (d > 0), np.int64(0), self.exp[k]), x)
+
+    def inv(self, x):
+        """1/x; a ZeroDivisionError if x is, or holds, 0."""
+        if np.any(x == 0):
             raise ZeroDivisionError("inversion of zero")
-        return _like(a, self.exp[-self.log[a] % (self.q - 1)].astype(np.int64))
-
-    def pow(self, a: int, e: int) -> int:
-        """a^e for integer e >= 0; pow(x, 0) = 1 for every x, pow(0, e) = 0
-        for e >= 1.  The exponent is reduced mod q-1 only for nonzero bases."""
-        if e < 0:
-            raise ValueError("exponent must be non-negative")
-        if e == 0:
-            return 1
-        if a == 0:
-            return 0
-        return int(self.exp[(int(self.log[a]) * e) % (self.q - 1)])
-
-    # -- element-wise maps (an int, or an int64 array of encodings) ----------
+        return _like(self.exp[-self.log[x] % (self.q - 1)].astype(np.int64), x)
 
     def trace(self, x):
         """Absolute trace into Z_p: the sum of the n Frobenius powers of x,
         an element of the prime subfield, so its encoding is its residue."""
         logs, t = self.log_v(x), np.int64(0)
         for i in range(self.n):
-            t = _digit_add(t, self.exp[logs * self.p**i % (self.q - 1)], self.p, self.n)
-        return _like(x, np.where(x == 0, 0, t))
+            t = self.add(t, self.exp[logs * self.p**i % (self.q - 1)])
+        return _like(np.where(x == 0, 0, t), x)
 
     def quadratic_character(self, x):
         """0 at 0, +1 on nonzero squares, -1 on non-squares (odd p only)."""
         if self.p == 2:
             raise ValueError("quadratic character requires odd characteristic")
-        return _like(x, np.where(x == 0, 0, (1 - 2 * (self.log[x] % 2)).astype(np.int64)))
+        return _like(np.where(x == 0, 0, (1 - 2 * (self.log[x] % 2)).astype(np.int64)), x)
 
     def in_subfield(self, x, m: int):
         """Membership of x in GF(p^m), m a positive divisor of n.  The logs of
         GF(p^m)* are the multiples of (q-1)/(p^m-1), and log 0 = 0."""
         if m <= 0 or self.n % m != 0:
             raise ValueError(f"GF({self.p}^{m}) is not a subfield of GF({self.p}^{self.n})")
-        return _like(x, self.log[x] % ((self.q - 1) // (self.p**m - 1)) == 0)
-
-    # -- vectorized arithmetic (int64 arrays of encodings) -------------------
+        return _like(self.log[x] % ((self.q - 1) // (self.p**m - 1)) == 0, x)
 
     def log_v(self, x):
         """log x in int64, with log 0 = 0: arithmetic on logs runs in int64,
         where products cannot wrap, and not in the int32 of the table."""
         return self.log[x].astype(np.int64)
 
-    def add_v(self, x, y):
-        return _digit_add(x, y, self.p, self.n)
-
-    def sub_v(self, x, y):
-        return self.add_v(x, self.mul_v(y, self.p - 1))
-
-    def mul_v(self, x, y):
-        zero = (x == 0) | (y == 0)
-        k = self.log_v(x)
-        k += self.log[y]
-        k %= self.q - 1
-        return np.where(zero, np.int64(0), self.exp[k])     # int64, like x and y
+    # The names `src/` calls on arrays, so that a wrapper on them (as the
+    # perfbench tracer installs) sees every array sum and product; `sub`
+    # calls them for the same reason.
+    add_v, sub_v, mul_v = add, sub, mul
 
     def pow_all(self, d: int) -> np.ndarray:
         """Table of x^d over all field elements in canonical order (d >= 0)."""
-        if d < 0:
-            raise ValueError("exponent must be non-negative")
-        if d == 0:
-            return np.ones(self.q, dtype=np.int64)
-        k = self.log.astype(np.int64)      # x^d = g^(d log x), 0^d = 0
-        k *= d % (self.q - 1)
-        k %= self.q - 1
-        out = self.exp[k].astype(np.int64)
-        out[0] = 0
-        return out
+        return self.pow(self.elements(), d)
 
     def eta_all(self) -> np.ndarray:
         """Quadratic character over all elements in canonical order (odd p)."""

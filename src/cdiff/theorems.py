@@ -457,18 +457,18 @@ def applicable_cases(field: Field, d: int, c: int) -> list[Row]:
 # Verification engine
 # ---------------------------------------------------------------------------
 
-def verify_case(case: Row, instances: list[Instance] | None = None,
-                max_size: int = DEFAULT_SIZE_CAP) -> VerificationReport:
-    """Check every instance of a case; reports (never raises) on prediction
-    failure, as branch runs in the instances' order.  Each run of instances
-    with one (field, d) is one `ddt.sweep` over every c they ask for, repeats
-    kept, which counts only the orbits of c that no earlier sweep in the
-    process has counted for d's exponent class, so rows that share a field
-    and an exponent class count each orbit once."""
-    if instances is None:
-        instances = case.default_instances(max_size)
+def verify_case(case: Row, max_size: int = DEFAULT_SIZE_CAP) -> VerificationReport:
+    """Check every instance of a case's default grid up to `max_size`;
+    reports (never raises) on prediction failure, as branch runs in the
+    grid's order.  Each run of instances with one (field, d) is one
+    `ddt.sweep` over every c they ask for, repeats kept, which counts only
+    the orbits of c that no earlier sweep in the process has counted for d's
+    exponent class, so rows that share a field and an exponent class count
+    each orbit once.  To check a row on other fields, give it other fields
+    (`dataclasses.replace(row, fields=...)`)."""
     runs = []
-    for (p, n, d), group in groupby(instances, attrgetter("p", "n", "d")):
+    for (p, n, d), group in groupby(case.default_instances(max_size),
+                                    attrgetter("p", "n", "d")):
         group = list(group)
         cs = [c for inst in group
               for c in ((inst.c,) if inst.c is not None else inst.c_values)]

@@ -263,6 +263,18 @@ def test_uniformity_rejects_exponent_zero(capsys):
     assert "power-map exponent must be >= 1" in err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("eval", "-p", "3", "-n", "2", "-d", "-1", "-x", "g"),
+     "exponent must be >= 0, got d = -1"),
+    (("dickson", "-p", "3", "-n", "2", "-m", "-1"),
+     "Dickson degree must be >= 0, got m = -1"),
+])
+def test_negative_exponent_or_degree_is_named(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"cdiff: error: {message}\n"
+
+
 def test_sweep_bad_c_set_names_it(capsys):
     code, out, err = run_cli(capsys, "sweep", "-p", "3", "-n", "2", "-d", "2",
                              "--c-set", "subfield:0")

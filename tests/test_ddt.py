@@ -327,6 +327,23 @@ def test_every_c_over_several_slabs_against_digit_add_rows(p, n, large_gcd):
             assert rep.spectrum == _digit_add_spectrum(f, d, rep.c, 1), (p, n, d, rep.c)
 
 
+@pytest.mark.parametrize("p,n", [(3, 5), (2, 7), (5, 3), (101, 1)])
+@pytest.mark.parametrize("pairs", [16, 64])
+def test_power_route_over_many_x_chunks_against_digit_add_rows(p, n, pairs, rng,
+                                                               monkeypatch):
+    # with _SLAB_PAIRS below q a slab is one c-row formed `pairs` x's at a
+    # time, the path of every field above 2^16, and `_log_terms` builds its
+    # tables in as many chunks; each sweep starts from an empty cache, since
+    # a warm one counts nothing, and its one-row slabs share one buffer
+    f = build_field(p, n)
+    monkeypatch.setattr(ddt, "_SLAB_PAIRS", pairs)
+    cs = sorted({0, 1, f.neg(1), f.generator, rng.randrange(f.q)})
+    for d in (3, f.q - 2, rng.randrange(1, 2 * f.q)):
+        monkeypatch.setattr(ddt, "_CONTEXTS", {})
+        for rep in sweep(f, PowerMap(d), cs):
+            assert rep.spectrum == _digit_add_spectrum(f, d, rep.c, 1), (p, n, d, rep.c)
+
+
 def _rowwise_spectrum(f, func, c):
     """Whole spectrum of the general route from one digit-add `ddt_row` per
     admissible a."""

@@ -199,24 +199,6 @@ def test_frobenius_is_additive(p, n):
             assert f.pow(f.add(a, b), p) == f.add(f.pow(a, p), f.pow(b, p))
 
 
-def test_vector_ops_match_scalar_ops(rng):
-    for p, n in [(2, 4), (3, 3), (5, 2), (7, 2)]:
-        f = build_field(p, n)
-        xs = np.array([rng.randrange(f.q) for _ in range(64)], dtype=np.int64)
-        ys = np.array([rng.randrange(f.q) for _ in range(64)], dtype=np.int64)
-        add = f.add_v(xs, ys)
-        sub = f.sub_v(xs, ys)
-        mul = f.mul_v(xs, ys)
-        for i in range(len(xs)):
-            assert int(add[i]) == f.add(int(xs[i]), int(ys[i]))
-            assert int(sub[i]) == f.sub(int(xs[i]), int(ys[i]))
-            assert int(mul[i]) == f.mul(int(xs[i]), int(ys[i]))
-        d = rng.randrange(1, 3 * f.q)
-        table = f.pow_all(d)
-        for x in range(f.q):
-            assert int(table[x]) == f.pow(x, d)
-
-
 # ---------------------------------------------------------------------------
 # trace and quadratic character
 # ---------------------------------------------------------------------------
@@ -305,23 +287,55 @@ def test_in_subfield():
             f.in_subfield(f.elements(), m)
 
 
-@pytest.mark.parametrize("p,n", [(2, 5), (3, 3), (5, 2), (7, 1)])
-def test_element_maps_take_an_int_or_an_array(p, n):
+def _assert_array_of(out, scalars, kind=int):
+    """out is an array of the int (or bool) results `scalars`."""
+    assert isinstance(out, np.ndarray) and out.shape == (len(scalars),)
+    assert out.dtype == (np.bool_ if kind is bool else np.int64)
+    assert out.tolist() == scalars
+
+
+@pytest.mark.parametrize("p,n", [(2, 5), (3, 3), (5, 2), (7, 1), (65537, 1)])
+def test_element_maps_take_an_int_or_an_array(p, n, rng):
+    # ints give a Python int (a bool from in_subfield), checked against the
+    # schoolbook field where it has the map; an int64 array in any operand
+    # gives an int64 array equal to the int results element by element.
+    # GF(65537) is sampled, 0, 1, -1 and g included
     f = build_field(p, n)
-    x, nonzero = f.elements(), f.elements()[1:]
-    maps = [(f.trace, x, int), (f.inv, nonzero, int),
-            (lambda v: f.in_subfield(v, 1), x, bool)]
+    ref = RefField(f)
+    x = f.elements() if f.q <= 256 else np.array(
+        [0, 1, p - 1, f.generator] + [rng.randrange(f.q) for _ in range(300)], dtype=np.int64)
+    y = np.array(rng.sample(x.tolist(), len(x)), dtype=np.int64)
+    d = rng.randrange(2, 3 * f.q)
+    unary = [(f.trace, x, int, None), (f.inv, x[x != 0], int, ref.inv),
+             (lambda v: f.in_subfield(v, 1), x, bool, None), (f.neg, x, int, ref.neg)]
+    unary += [(lambda v, e=e: f.pow(v, e), x, int, lambda v, e=e: ref.pow(v, e))
+              for e in (1, 2, f.q - 1, f.q, d)]
     if p > 2:
-        maps.append((f.quadratic_character, x, int))
-    for fn, xs, kind in maps:
+        unary.append((f.quadratic_character, x, int, ref.eta))
+    for fn, xs, kind, want in unary:
         scalars = [fn(int(v)) for v in xs]
         assert all(type(s) is kind for s in scalars)
-        out = fn(xs)
-        assert isinstance(out, np.ndarray) and out.shape == xs.shape
-        assert out.dtype == (np.bool_ if kind is bool else np.int64)
-        assert out.tolist() == scalars
+        if want is not None:
+            assert scalars == [want(int(v)) for v in xs]
+        _assert_array_of(fn(xs), scalars, kind)
     with pytest.raises(ZeroDivisionError):
         f.inv(x)
+    for fn, want in ((f.add, ref.add), (f.sub, ref.sub), (f.mul, ref.mul)):
+        scalars = [fn(int(a), int(b)) for a, b in zip(x, y)]
+        assert all(type(s) is int for s in scalars)
+        assert scalars == [want(int(a), int(b)) for a, b in zip(x, y)]
+        _assert_array_of(fn(x, y), scalars)
+        for b in (0, 1, f.generator):       # one operand an int, either one
+            _assert_array_of(fn(x, b), [fn(int(a), b) for a in x])
+            _assert_array_of(fn(b, y), [fn(b, int(a)) for a in y])
+    # x^0 = 1 at every x, 0 included, and 0^e = 0 for every e >= 1
+    assert f.pow(0, 0) == 1 and f.pow(x, 0).tolist() == [1] * len(x)
+    for e in (1, 2, f.q - 1, f.q, d):
+        assert f.pow(0, e) == 0 and f.pow(np.zeros(3, dtype=np.int64), e).tolist() == [0] * 3
+    # the array names are the same maps
+    assert Field.add_v is Field.add and Field.sub_v is Field.sub and Field.mul_v is Field.mul
+    for e in (0, 1, d):
+        _assert_array_of(f.pow_all(e), f.pow(f.elements(), e).tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -112,10 +112,10 @@ def test_gold_binary_m3_applicable():
 
 def test_verify_half_gold_instance():
     # (p=3, n=4, k=2, c=-1): 2n/gcd(2n,k) = 4 even, prediction (3^2+1)/2 = 5
-    case = case_by_id("half-gold-pcn")
+    case = dataclasses.replace(case_by_id("half-gold-pcn"), fields=((3, 4, 2),))
     inst = Instance(3, 4, (3**2 + 1) // 2, 2, 2, "c = -1", Exact(5))
-    report = verify_case(case, instances=[inst])
-    assert report.passed
+    report = verify_case(case)
+    assert report.passed and report.runs[0].instances == (inst,)
     assert report.runs[0].observed == (5,)
 
 
@@ -128,30 +128,32 @@ def test_verify_two_thirds_default_grid():
 
 
 def test_verify_inverse_c0_example():
-    case = case_by_id("inverse-c0")
+    case = dataclasses.replace(case_by_id("inverse-c0"), fields=((7, 2),))
     inst = Instance(7, 2, 47, None, 0, "c = 0", Exact(1))
-    report = verify_case(case, instances=[inst])
-    assert report.passed and report.runs[0].observed == (1,)
+    report = verify_case(case)
+    assert report.passed and report.runs[0].instances == (inst,)
+    assert report.runs[0].observed == (1,)
 
 
 def test_verify_gold_binary_example():
-    case = case_by_id("gold-binary-outside")
+    case = dataclasses.replace(case_by_id("gold-binary-outside"), fields=((2, 6, 2),))
     f = build_field(2, 6)
     insts = [Instance(2, 6, 5, 2, c, "c outside GF(2^2)", Exact(5))
              for c in range(f.q) if not f.in_subfield(c, 2)]
-    report = verify_case(case, instances=insts)
+    report = verify_case(case)
     assert report.passed and [len(run.instances) for run in report.runs] == [64 - 4]
+    assert report.runs[0].instances == tuple(insts)
 
 
 def test_verify_value_set_instance():
-    case = case_by_id("pn-minus-3")
-    f = build_field(3, 4)
+    # the grid's last instance over GF(81) is the sweep over the last branch
+    case = dataclasses.replace(case_by_id("pn-minus-3"), fields=((3, 4),))
     others = tuple(c for c in range(81) if c not in (0, 1, 2))
-    inst = Instance(3, 4, 78, None, None, "sweep", ValueSet(frozenset({2, 4, 5})),
-                    c_values=others)
-    report = verify_case(case, instances=[inst])
-    assert report.passed
-    assert report.runs[0].observed == ((2, 4, 5),)
+    inst = Instance(3, 4, 78, None, None, "sweep c not in {0,1,-1}",
+                    ValueSet(frozenset({2, 4, 5})), c_values=others)
+    report = verify_case(case)
+    assert report.passed and report.runs[-1].instances == (inst,)
+    assert report.runs[-1].observed == ((2, 4, 5),)
 
 
 def test_value_set_row_on_a_field_without_a_known_set():
@@ -174,11 +176,13 @@ def test_verify_records_failures_without_raising():
 def test_records_are_immutable_and_hash_by_value():
     inst = Instance(3, 2, 2, None, 5, "c != 1", Exact(2))
     twin = Instance(3, 2, 2, None, 5, "c != 1", Exact(2))
-    run = verify_case(case_by_id("square"), instances=[inst]).runs[0]
-    again = verify_case(case_by_id("square"), instances=[twin]).runs[0]
+    square = dataclasses.replace(case_by_id("square"), fields=((3, 2),))
+    run, again = verify_case(square).runs[0], verify_case(square).runs[0]
     assert inst == twin and hash(inst) == hash(twin) and inst.c_values is None
     assert run == again and hash(run) == hash(again)
-    assert run == ((inst,), (2,), (True,))
+    cs = (0, 2, 3, 4, 5, 6, 7, 8)
+    assert run == (tuple(inst._replace(c=c) for c in cs), (2,) * 8, (True,) * 8)
+    assert run.instances[cs.index(5)] == twin
     assert inst != inst._replace(c=6)
     for record, attr in ((inst, "c"), (run, "ok")):
         with pytest.raises(AttributeError):
