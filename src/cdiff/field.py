@@ -202,7 +202,7 @@ class Field:
         n is bounded before p^n is computed, since any n past the cap's bit
         length is over it."""
         if n < 1:
-            raise ValueError(f"extension degree must be >= 1, got {n}")
+            raise ValueError(f"extension degree must be >= 1, got n = {n!r}")
         if p > 1 and (n >= DEFAULT_SIZE_CAP.bit_length() or p**n > DEFAULT_SIZE_CAP):
             raise ValueError(f"field size {p}^{n} exceeds cap {DEFAULT_SIZE_CAP}")
         if not is_prime(p):

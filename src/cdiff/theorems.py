@@ -9,8 +9,9 @@ apply) and its grid are methods derived from that declaration.
 Exact rows sweep every c satisfying their condition (a single c could mask a
 counterexample at these field sizes).  Upper-bound rows additionally record
 the attained maximum, distinguishing a tight bound from a vacuous one.
-Value-set rows compare the union of observed uniformities over a c-sweep
-against the expected set.
+Value-set rows compare the set of uniformities an exponent's last branch
+observed against the expected set, in a run that `verify_case` appends; it
+is not a grid entry.
 """
 
 from __future__ import annotations
@@ -73,23 +74,22 @@ Prediction = Union[Exact, UpperBound, ValueSet]
 # ---------------------------------------------------------------------------
 
 class Instance(NamedTuple):
-    """One concrete check: a field, an exponent, and either a single c or a
-    c-sweep whose observed-value set is compared as a whole."""
+    """One concrete check: a field, an exponent and a c.  A grid holds only
+    these; the value-set run that `verify_case` appends has c = None."""
     p: int
     n: int
     d: int
     k: int | None
-    c: int | None                      # canonical encoding; None = aggregated sweep
+    c: int | None                      # canonical encoding; None = value-set run
     c_label: str
     predicted: Prediction
-    c_values: tuple[int, ...] | None = None
 
 
 class BranchRun(NamedTuple):
     """Consecutive checked instances of one branch: they share (p, n, d, k,
     c_label, predicted), and `observed[i]` and `ok[i]` are the uniformity
-    seen at `instances[i]` (the sorted value set for a sweep) and its
-    verdict."""
+    seen at `instances[i]` (for a value-set run, the sorted set its branch
+    run observed) and its verdict."""
     instances: tuple[Instance, ...]
     observed: tuple[int | tuple[int, ...], ...]
     ok: tuple[bool, ...]
@@ -143,8 +143,8 @@ class Row:
     k) order, whose entries are (p, n), or (p, n, k) to keep only that k.  For
     each exponent, in (p, n, d) order, the grid takes, branch by branch, every
     c in ascending order that the branch accepts, from one mask over the
-    field's elements; `sweep`, where it knows the field's value set, then adds
-    one aggregated instance over the last branch's c values.
+    field's elements; `sweep` gives the field's value set, if known, for the
+    uniformities the last branch observes at each exponent.
 
     At (field, d, c) the row looks up the first family exponent e that is the
     same map as x^d (e = d mod q-1); it applies when one of its branches,
@@ -199,9 +199,6 @@ class Row:
                 label, predicted = _at(branch.label, f, k), _at(branch.predicted, f, k)
                 cs = np.flatnonzero(self._mask(branch, f, k, f.elements())).tolist()
                 out.extend([Instance(f.p, f.n, d, k, c, label, predicted) for c in cs])
-            if (values := self.sweep(f)) is not None:
-                out.append(Instance(f.p, f.n, d, k, None, f"sweep {label}",
-                                    ValueSet(values), c_values=tuple(cs)))
         return out
 
 
@@ -460,28 +457,29 @@ def applicable_cases(field: Field, d: int, c: int) -> list[Row]:
 def verify_case(case: Row, max_size: int = DEFAULT_SIZE_CAP) -> VerificationReport:
     """Check every instance of a case's default grid up to `max_size`;
     reports (never raises) on prediction failure, as branch runs in the
-    grid's order.  Each run of instances with one (field, d) is one
-    `ddt.sweep` over every c they ask for, repeats kept, which counts only
-    the orbits of c that no earlier sweep in the process has counted for d's
-    exponent class, so rows that share a field and an exponent class count
-    each orbit once.  To check a row on other fields, give it other fields
-    (`dataclasses.replace(row, fields=...)`)."""
+    grid's order.  The instances with one (field, d) are one `ddt.sweep`
+    over their c's, which counts only the orbits of c that no earlier sweep
+    in the process has counted for d's exponent class, so rows that share a
+    field and an exponent class count each orbit once.  Where the row knows
+    the field's value set, a value-set run of what the exponent's last
+    branch observed follows its runs.  To check a row on other fields, give
+    it other fields (`dataclasses.replace(row, fields=...)`)."""
     runs = []
     for (p, n, d), group in groupby(case.default_instances(max_size),
                                     attrgetter("p", "n", "d")):
-        group = list(group)
-        cs = [c for inst in group
-              for c in ((inst.c,) if inst.c is not None else inst.c_values)]
+        group, f = list(group), build_field(p, n)
         observed_at = {r.c: r.uniformity
-                       for r in sweep(build_field(p, n), PowerMap(d), cs)}
+                       for r in sweep(f, PowerMap(d), [inst.c for inst in group])}
         for _, run in groupby(group, attrgetter("k", "c_label", "predicted")):
             run = tuple(run)
-            observed = tuple(observed_at[inst.c] if inst.c is not None
-                             else tuple(sorted({observed_at[c] for c in inst.c_values}))
-                             for inst in run)
-            check = run[0].predicted.check
-            runs.append(BranchRun(run, observed, tuple(map(check, observed))))
-    return VerificationReport(case.id, tuple(runs))
+            runs.append((run, tuple(observed_at[inst.c] for inst in run)))
+        if (values := case.sweep(f)) is not None:
+            label = _at(case.branches[-1].label, f, group[0].k)
+            seen = {observed_at[inst.c] for inst in group if inst.c_label == label}
+            runs.append(((Instance(p, n, d, group[0].k, None, f"sweep {label}",
+                                   ValueSet(values)),), (tuple(sorted(seen)),)))
+    return VerificationReport(case.id, tuple(
+        BranchRun(run, obs, tuple(map(run[0].predicted.check, obs))) for run, obs in runs))
 
 
 def verify_all(case_ids: list[str] | None = None,

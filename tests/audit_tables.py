@@ -1,4 +1,5 @@
-"""Audit the exp/log tables of every field above 2^16, up to the size cap.
+"""Audit the exp/log tables of every field above 2^16, up to the size cap,
+and the power route's count on each against an independent one.
 
 Both counting routes read the same tables, so a wrong table would make them
 agree on wrong answers.  For each field, with no table of the build:
@@ -11,27 +12,39 @@ agree on wrong answers.  For each field, with no table of the build:
 Every nonzero residue is then a power of g, so the residues form a field: the
 modulus is irreducible, and g is primitive.
 
+Then one draw per field, seeded by q: d in [1, 2q), c not in {0, 1} and
+a != 0.  The spectrum `power_uniformity(f, d, c)` reports must equal that of
+one digit-add `ddt_row` at a, merged with the analytic a = 0 row.  That
+count shares neither the Zech table, the report cache nor the slab code
+with the route, and above 2^16 the route takes its one-row, 2^16-x-chunk
+path.
+
 Fields: every (p, n >= 2) with 2^16 < q <= 2^22, then the three largest
-primes below 2^22.  The field cache is cleared after each field, so memory
-stays flat.
+primes below 2^22.  The field and report caches are cleared after each
+field, so memory stays flat.
 
 Usage: PYTHONPATH=src python3 tests/audit_tables.py
 
 Prints one line per field that fails and a summary line, and exits 1 if any
-field fails.  A failure is a finding about the build, never a reason to
-narrow the fields.
+field fails.  A failure is a finding about the build or the count, never a
+reason to narrow the fields.
 """
 
 from __future__ import annotations
 
+import math
+import random
 import sys
 import time
+import traceback
 from itertools import islice
 
 import numpy as np
 
-from cdiff import field
+from cdiff import ddt, field
+from cdiff.ddt import ddt_row, power_uniformity
 from cdiff.field import DEFAULT_SIZE_CAP, Field, build_field, is_prime
+from cdiff.funcs import PowerMap
 
 EXTENSION_FIELDS = [(p, n) for p in range(2, 2**11) if is_prime(p)
                     for n in range(2, 23) if 2**16 < p**n <= DEFAULT_SIZE_CAP]
@@ -83,20 +96,46 @@ def audit(f: Field) -> list[str]:
     return problems
 
 
+def count_route(f: Field) -> list[str]:
+    """The power route at one seeded (d, c) against a digit-add row at a != 0
+    plus the a = 0 row, (1-c) x^d = b: one x at b = 0 and g = gcd(d, q-1) at
+    each of the (q-1)/g nonzero d-th powers."""
+    rng = random.Random(f.q)
+    q, d, c, a = f.q, rng.randrange(1, 2 * f.q), rng.randrange(2, f.q), rng.randrange(1, f.q)
+    hist = np.bincount(ddt_row(f, PowerMap(d), c, a), minlength=q + 1)
+    g = math.gcd(d, q - 1)
+    hist[0] += (q - 1) - (q - 1) // g
+    hist[1] += 1
+    hist[g] += (q - 1) // g
+    values = np.flatnonzero(hist)
+    want = tuple(zip(values.tolist(), hist[values].tolist()))
+    got = power_uniformity(f, d, c).spectrum
+    if got == want:
+        return []
+    return [f"power route at d = {d}, c = {c}: spectrum {got[-3:]} (last three), "
+            f"digit-add row at a = {a} gives {want[-3:]}"]
+
+
 def main() -> int:
-    start, failed = time.perf_counter(), 0
+    start, failed, route_s = time.perf_counter(), 0, 0.0
     for p, n in EXTENSION_FIELDS + PRIME_FIELDS:
         try:
-            problems = audit(build_field(p, n))
-        except ValueError as exc:
-            problems = [f"build failed: {exc}"]
+            f = build_field(p, n)
+            problems = audit(f)
+            t0 = time.perf_counter()
+            problems += count_route(f)
+            route_s += time.perf_counter() - t0
+        except Exception as exc:        # a count that reads a stale buffer can raise
+            where = traceback.extract_tb(exc.__traceback__)[-1]
+            problems = [f"{type(exc).__name__} in {where.name}, line {where.lineno}: {exc}"]
         if problems:
             failed += 1
             print(f"FAIL GF({p}^{n}): " + "; ".join(problems))
         field._FIELD_CACHE.clear()
+        ddt._CONTEXTS.clear()
     print(f"{len(EXTENSION_FIELDS)} extension fields with 2^16 < q <= 2^22 and "
           f"{len(PRIME_FIELDS)} prime fields near the cap, {failed} failed, "
-          f"{time.perf_counter() - start:.1f} s")
+          f"{time.perf_counter() - start:.1f} s ({route_s:.1f} s in the count checks)")
     return 1 if failed else 0
 
 

@@ -100,6 +100,14 @@ MUTANTS = (
            "if _multiplicative_order_is_full(_digits(e, p, n), modulus, p, q, factors):",
            "if True:",
            ("tests/test_field.py::test_exp_log_tables_match_schoolbook_walk",)),
+    Mutant("value set read from every run of the exponent", "src/cdiff/theorems.py",
+           "seen = {observed_at[inst.c] for inst in group if inst.c_label == label}",
+           "seen = set(observed_at.values())",
+           ("tests/test_theorems.py::test_verify_value_set_instance",)),
+    Mutant("registry sweep asked for each c twice", "src/cdiff/theorems.py",
+           "sweep(f, PowerMap(d), [inst.c for inst in group])",
+           "sweep(f, PowerMap(d), [inst.c for inst in group] * 2)",
+           ("tests/test_theorems.py::test_verify_asks_for_each_grid_c_once",)),
 )
 
 

@@ -6,7 +6,10 @@
    cost one orbit per exponent, on every field with 4 < q <= 2^16.  The field
    and context caches are cleared after each field, so memory stays flat.
 
-Each pass skips a field on which the row's exponent family is empty.
+Each pass skips a field on which the row's exponent family is empty.  After
+pass 1 the scan shows how tight each upper bound is: for every `UpperBound`
+branch, its runs (one per field and exponent), the runs whose maximum
+reaches the bound, and a histogram of the bound minus the maximum.
 
 Usage: PYTHONPATH=src python3 tests/scan_off_grid.py
 
@@ -21,10 +24,12 @@ from __future__ import annotations
 import dataclasses
 import sys
 import time
+from collections import Counter, defaultdict
 
 from cdiff import ddt, field
 from cdiff.field import build_field, is_prime
-from cdiff.theorems import VerificationReport, case_by_id, registry, verify_case
+from cdiff.theorems import (UpperBound, VerificationReport, case_by_id, registry,
+                            verify_case)
 
 FIELDS = [(p, n) for p in range(2, 6562) if is_prime(p)
           for n in range(1, 13) if 4 < p**n <= 6561]
@@ -50,15 +55,26 @@ def check(row, p: int, n: int) -> VerificationReport:
 
 def main() -> int:
     start, checked, failed = time.perf_counter(), 0, 0
+    slack: dict[tuple[str, str], Counter] = defaultdict(Counter)
     for row in registry():
         grid = {(p, n) for p, n, *_ in row.fields}
         for p, n in FIELDS:
             if (p, n) in grid or not row.family(build_field(p, n)):
                 continue
             checked += 1
-            failed += not check(row, p, n).passed
+            report = check(row, p, n)
+            failed += not report.passed
+            for run in report.runs:
+                head = run.instances[0]
+                if isinstance(head.predicted, UpperBound):
+                    slack[row.id, head.c_label][head.predicted.value - max(run.observed)] += 1
     print(f"{checked} (row, field) pairs off the grids, {failed} failed, "
           f"{time.perf_counter() - start:.1f} s")
+    print("upper bounds off the grids, per branch (slack = bound - maximum of a run):")
+    for (row_id, label), hist in slack.items():
+        shown = ", ".join(f"{s}: {m}" for s, m in sorted(hist.items()))
+        print(f"  {row_id} [{label}]: {hist.total()} runs, {hist[0]} reach the "
+              f"bound, slack {{{shown}}}")
 
     start, pairs, instances, single_failed = time.perf_counter(), 0, 0, 0
     for p, n in SINGLE_C_FIELDS:

@@ -268,6 +268,8 @@ def test_uniformity_rejects_exponent_zero(capsys):
      "exponent must be >= 0, got d = -1"),
     (("dickson", "-p", "3", "-n", "2", "-m", "-1"),
      "Dickson degree must be >= 0, got m = -1"),
+    (("field", "-p", "2", "-n", "0"), "extension degree must be >= 1, got n = 0"),
+    (("gold-dist", "-n", "0", "-k", "1"), "extension degree must be >= 1, got n = 0"),
 ])
 def test_negative_exponent_or_degree_is_named(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)

@@ -146,14 +146,33 @@ def test_verify_gold_binary_example():
 
 
 def test_verify_value_set_instance():
-    # the grid's last instance over GF(81) is the sweep over the last branch
+    # over GF(81) the last run is the value set of the last branch's run,
+    # the 78 c not in {0, 1, -1}; the c = -1 run observes 6, not in the set
     case = dataclasses.replace(case_by_id("pn-minus-3"), fields=((3, 4),))
     others = tuple(c for c in range(81) if c not in (0, 1, 2))
     inst = Instance(3, 4, 78, None, None, "sweep c not in {0,1,-1}",
-                    ValueSet(frozenset({2, 4, 5})), c_values=others)
+                    ValueSet(frozenset({2, 4, 5})))
     report = verify_case(case)
     assert report.passed and report.runs[-1].instances == (inst,)
     assert report.runs[-1].observed == ((2, 4, 5),)
+    assert tuple(i.c for i in report.runs[-2].instances) == others
+    assert report.runs[0].observed == (6,)
+    assert all(i.c is not None for i in case.default_instances(DEFAULT_SIZE_CAP))
+
+
+def test_verify_asks_for_each_grid_c_once(monkeypatch):
+    # the value-set run reads the uniformities its branch run observed, so
+    # the sweep is asked for each of the 80 grid c's of x^78 once
+    case = dataclasses.replace(case_by_id("pn-minus-3"), fields=((3, 4),))
+    asked, count = [], ddt.power_uniformity
+
+    def spy(field, d, c, **kwargs):
+        asked.append(c)
+        return count(field, d, c, **kwargs)
+    monkeypatch.setattr(ddt, "power_uniformity", spy)
+    report = verify_case(case)
+    assert report.passed and sorted(asked) == [0] + list(range(2, 81))
+    assert len(asked) == len(case.default_instances(DEFAULT_SIZE_CAP)) == 80
 
 
 def test_value_set_row_on_a_field_without_a_known_set():
@@ -178,7 +197,7 @@ def test_records_are_immutable_and_hash_by_value():
     twin = Instance(3, 2, 2, None, 5, "c != 1", Exact(2))
     square = dataclasses.replace(case_by_id("square"), fields=((3, 2),))
     run, again = verify_case(square).runs[0], verify_case(square).runs[0]
-    assert inst == twin and hash(inst) == hash(twin) and inst.c_values is None
+    assert inst == twin and hash(inst) == hash(twin)
     assert run == again and hash(run) == hash(again)
     cs = (0, 2, 3, 4, 5, 6, 7, 8)
     assert run == (tuple(inst._replace(c=c) for c in cs), (2,) * 8, (True,) * 8)
@@ -267,11 +286,9 @@ def _orbit_classes(instances) -> set:
     for inst in instances:
         f, m = build_field(inst.p, inst.n), inst.p ** inst.n - 1
         d_class = min(inst.d * inst.p**i % m for i in range(inst.n))
-        for c in (inst.c,) if inst.c is not None else inst.c_values:
-            k = int(f.log[c])
-            key = -1 if c == 0 else min(s * k * inst.p**i % m
-                                        for i in range(inst.n) for s in (1, -1))
-            keys.add((inst.p, inst.n, d_class, key))
+        key = -1 if inst.c == 0 else min(s * int(f.log[inst.c]) * inst.p**i % m
+                                         for i in range(inst.n) for s in (1, -1))
+        keys.add((inst.p, inst.n, d_class, key))
     return keys
 
 
@@ -316,12 +333,19 @@ def _sha256(lines):
 
 
 def test_default_grids_are_pinned():
+    # the grid instances in order, each value-set run after the branch run
+    # it summarizes, with that run's c's
     lines = []
     for case in registry():
-        for i in case.default_instances(DEFAULT_SIZE_CAP):
-            lines.append(json.dumps([
-                case.id, i.p, i.n, i.d, i.k, i.c, i.c_label, i.predicted.render(),
-                list(i.c_values) if i.c_values is not None else None]))
+        runs = verify_case(case).runs
+        for before, run in zip((None,) + runs, runs):
+            for i in run.instances:
+                summarized = None
+                if i.c is None:
+                    assert i.c_label == "sweep " + before.instances[0].c_label
+                    summarized = [j.c for j in before.instances]
+                lines.append(json.dumps([case.id, i.p, i.n, i.d, i.k, i.c, i.c_label,
+                                         i.predicted.render(), summarized]))
     assert len(lines) == 25327
     assert _sha256(lines) == \
         "da6a3680abfa814d80c4aece157e999ea2d690398af2c7606ab53281da5d39a4"
