@@ -127,7 +127,7 @@ def dickson_preimage_count(field: Field, d: int, x0: int) -> DicksonPreimage:
     source of truth and the formula is the test subject.
     """
     if field.p == 2:
-        raise ValueError("preimage branch formula requires odd characteristic")
+        raise ValueError("preimage branch formula requires odd characteristic, got p = 2")
     if d < 1:
         raise ValueError(f"preimage branch formula requires Dickson degree "
                          f"m >= 1, got m = {d}")
@@ -179,7 +179,7 @@ def subfield_embedding(base: Field, ext: Field) -> np.ndarray:
     ext (desk scale only); the smallest root is chosen, so the embedding is
     deterministic."""
     if ext.p != base.p or ext.n % base.n != 0:
-        raise ValueError("extension field is not compatible")
+        raise ValueError(f"GF({ext.p}^{ext.n}) does not extend GF({base.p}^{base.n})")
     roots = np.nonzero(_horner(ext, base.modulus, ext.elements()) == 0)[0]
     if roots.size == 0:
         raise ValueError("base modulus has no root in the extension")
@@ -289,7 +289,7 @@ class SignPartition:
 
 def sign_partition(field: Field) -> SignPartition:
     if field.p == 2:
-        raise ValueError("sign partition requires odd characteristic")
+        raise ValueError("sign partition requires odd characteristic, got p = 2")
     x = field.elements()
     eta = field.eta_all()
     eta_succ = eta[field.add_v(x, 1)]
@@ -314,7 +314,7 @@ class JacobsthalCounts:
 
 def jacobsthal_counts(field: Field) -> JacobsthalCounts:
     if field.p == 2:
-        raise ValueError("Jacobsthal counts require odd characteristic")
+        raise ValueError("Jacobsthal counts require odd characteristic, got p = 2")
     x = field.elements()
     eta = field.eta_all()
     one = 1

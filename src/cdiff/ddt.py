@@ -219,14 +219,6 @@ def general_uniformity(field: Field, func: FunctionSpec, c: int) -> CDDTReport:
     return _slab_reports([c], hist[None], "full")[0]
 
 
-def _image_counts(q: int, d: int) -> tuple[tuple[int, int], ...]:
-    """Preimage counts of x^d over GF(q), as (count, number of b): one
-    solution at b = 0 and g = gcd(d, q-1) at each of the (q-1)/g nonzero
-    d-th powers."""
-    g = math.gcd(d, q - 1)
-    return (1, 1), (g, (q - 1) // g), (0, (q - 1) - (q - 1) // g)
-
-
 def _plus_one(p: int, e: np.ndarray) -> np.ndarray:
     """Encodings of e + 1: adding 1 changes only the constant digit."""
     if p == 2:
@@ -296,16 +288,20 @@ def _count_orbits(f: Field, d: int, todo: dict[int, int],
                   reports: dict[int, CDDTReport]) -> None:
     """Count x^d over `f` at the c of each orbit of `todo`, which maps orbit
     keys to a c, into `reports`: the a = 1 row, plus the a = 0 row if c != 1.
-    For x = g^k outside {0, -1}, (x+1)^d - c x^d = g^ls (1 + g^(D + log(-c)))
-    with the `_log_terms` ls and D.  Reports are stored a slab at a time, so
-    a count cut short keeps only whole reports."""
-    q, m = f.q, f.q - 1
-    if -1 in todo:      # c = 0: (x+1)^d = b and the a = 0 row count preimages
+    The a = 0 row, (1-c) x^d = b, is one histogram `a0` for every such c:
+    one x at b = 0 and g = gcd(d, q-1) at each of the (q-1)/g nonzero d-th
+    powers.  At c = 0 the a = 1 row, (x+1)^d = b, counts the same
+    preimages, so c = 0 reports 2 a0.  For x = g^k outside {0, -1},
+    (x+1)^d - c x^d = g^ls (1 + g^(D + log(-c))) with the `_log_terms` ls
+    and D.  Reports are stored a slab at a time, so a count cut short keeps
+    only whole reports."""
+    q, m, g = f.q, f.q - 1, math.gcd(d, f.q - 1)
+    a0 = np.zeros(g + 1, dtype=np.int64)
+    a0[0], a0[g] = m - m // g, m // g
+    a0[1] += 1                          # x = 0 at b = 0; g may be 1
+    if -1 in todo:
         del todo[-1]
-        hist = np.zeros(math.gcd(d, m) + 1, dtype=np.int64)
-        for v, number in _image_counts(q, d):
-            hist[v] += 2 * number
-        reports[-1] = _slab_reports([0], hist[None], "power-reduced")[0]
+        reports[-1] = _slab_reports([0], 2 * a0[None], "power-reduced")[0]
     if not todo:
         return
     zech, ls, diff = _log_terms(f, d)
@@ -339,13 +335,12 @@ def _count_orbits(f: Field, d: int, todo: dict[int, int],
         rows = np.bincount(slab.ravel(), minlength=r * q).reshape(r, q)
         rows[:, 0] += 1                                 # x = 0: b = 1
         rows[np.arange(r), log_at_minus_one[lo:lo + block]] += 1
-        s = max(int(rows.max()), math.gcd(d, m)) + 1    # above every count, a = 0 too
+        s = max(int(rows.max()) + 1, len(a0))           # above every count, a = 0 too
         if r > 1:
             rows += np.arange(0, r * s, s)[:, None]
         hists = np.bincount(rows.ravel(), minlength=r * s).reshape(r, s)
         del rows
-        for v, number in _image_counts(q, d):           # a = 0 row: (1-c) x^d = b
-            hists[c != 1, v] += number
+        hists[c != 1, :len(a0)] += a0
         reports.update(zip(order[lo:lo + block],
                            _slab_reports(c.tolist(), hists, "power-reduced")))
 

@@ -212,13 +212,16 @@ class Field:
         if modulus is None:
             modulus = _find_modulus(p, n)
         else:
+            given = ",".join(map(str, modulus))
             modulus = [int(c) % p for c in modulus]
             if len(modulus) != n + 1 or modulus[n] != 1:
-                raise ValueError("modulus must be monic of degree n (n+1 coefficients)")
+                raise ValueError(f"modulus must be monic of degree n = {n} ({n + 1} "
+                                 f"coefficients c0..c{n}), got modulus = {given}")
             if n > 1 and not is_irreducible(modulus, p):
-                raise ValueError("modulus override is reducible")
+                raise ValueError(f"modulus override is reducible over GF({p}), "
+                                 f"got modulus = {given}")
             if n == 1 and modulus != [0, 1]:
-                raise ValueError("degree-1 modulus must be x")
+                raise ValueError(f"degree-1 modulus must be x (0,1), got modulus = {given}")
 
         factors = prime_factors(q - 1) if q > 2 else []
         gen_digits = [1] + [0] * (n - 1)    # least encoding of full order; 1 when q == 2
@@ -277,7 +280,7 @@ class Field:
 
     def element(self, coeffs: list[int]) -> int:
         if len(coeffs) != self.n:
-            raise ValueError(f"expected {self.n} coefficients")
+            raise ValueError(f"expected {self.n} coefficients, got {len(coeffs)}")
         return _encode([int(c) % self.p for c in coeffs], self.p)
 
     def from_int(self, value: int) -> int:
@@ -344,7 +347,7 @@ class Field:
     def quadratic_character(self, x):
         """0 at 0, +1 on nonzero squares, -1 on non-squares (odd p only)."""
         if self.p == 2:
-            raise ValueError("quadratic character requires odd characteristic")
+            raise ValueError("quadratic character requires odd characteristic, got p = 2")
         return _like(np.where(x == 0, 0, (1 - 2 * (self.log[x] % 2)).astype(np.int64)), x)
 
     def in_subfield(self, x, m: int):

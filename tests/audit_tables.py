@@ -12,12 +12,14 @@ agree on wrong answers.  For each field, with no table of the build:
 Every nonzero residue is then a power of g, so the residues form a field: the
 modulus is irreducible, and g is primitive.
 
-Then one draw per field, seeded by q: d in [1, 2q), c not in {0, 1} and
-a != 0.  The spectrum `power_uniformity(f, d, c)` reports must equal that of
-one digit-add `ddt_row` at a, merged with the analytic a = 0 row.  That
-count shares neither the Zech table, the report cache nor the slab code
-with the route, and above 2^16 the route takes its one-row, 2^16-x-chunk
-path.
+Then three draws per field, seeded by q, each with a random a != 0: a
+random d in [1, 2q) with c not in {0, 1}; d = q - 2 at c = -1; a random
+d at c = 1.  The spectrum `power_uniformity(f, d, c)` reports must equal
+that of one digit-add `ddt_row` at a, merged with the analytic a = 0 row
+when c != 1 (over GF(2^n), c = -1 is c = 1, so that draw has no a = 0
+row).  That count shares neither the Zech table, the report cache nor the
+slab code with the route, and above 2^16 the route takes its one-row,
+2^16-x-chunk path.
 
 Fields: every (p, n >= 2) with 2^16 < q <= 2^22, then the three largest
 primes below 2^22.  The field and report caches are cleared after each
@@ -96,24 +98,37 @@ def audit(f: Field) -> list[str]:
     return problems
 
 
-def count_route(f: Field) -> list[str]:
-    """The power route at one seeded (d, c) against a digit-add row at a != 0
-    plus the a = 0 row, (1-c) x^d = b: one x at b = 0 and g = gcd(d, q-1) at
-    each of the (q-1)/g nonzero d-th powers."""
-    rng = random.Random(f.q)
-    q, d, c, a = f.q, rng.randrange(1, 2 * f.q), rng.randrange(2, f.q), rng.randrange(1, f.q)
+def digit_add_spectrum(f: Field, d: int, c: int, a: int) -> tuple[tuple[int, int], ...]:
+    """The power-reduced spectrum of x^d at c from one digit-add row at
+    a != 0, merged when c != 1 with the a = 0 row, (1-c) x^d = b: one x at
+    b = 0 and g = gcd(d, q-1) at each of the (q-1)/g nonzero d-th powers."""
+    q = f.q
     hist = np.bincount(ddt_row(f, PowerMap(d), c, a), minlength=q + 1)
-    g = math.gcd(d, q - 1)
-    hist[0] += (q - 1) - (q - 1) // g
-    hist[1] += 1
-    hist[g] += (q - 1) // g
+    if c != 1:
+        g = math.gcd(d, q - 1)
+        hist[0] += (q - 1) - (q - 1) // g
+        hist[1] += 1
+        hist[g] += (q - 1) // g
     values = np.flatnonzero(hist)
-    want = tuple(zip(values.tolist(), hist[values].tolist()))
-    got = power_uniformity(f, d, c).spectrum
-    if got == want:
-        return []
-    return [f"power route at d = {d}, c = {c}: spectrum {got[-3:]} (last three), "
-            f"digit-add row at a = {a} gives {want[-3:]}"]
+    return tuple(zip(values.tolist(), hist[values].tolist()))
+
+
+def count_route(f: Field) -> list[str]:
+    """The power route at three draws seeded by q against `digit_add_spectrum`
+    at a random a != 0: random d in [1, 2q) and c not in {0, 1}; d = q - 2
+    at c = -1, which over GF(2^n) is c = 1; random d at c = 1."""
+    rng = random.Random(f.q)
+    q = f.q
+    draws = [(rng.randrange(1, 2 * q), rng.randrange(2, q), rng.randrange(1, q)),
+             (q - 2, f.neg(1), rng.randrange(1, q)),
+             (rng.randrange(1, 2 * q), 1, rng.randrange(1, q))]
+    problems = []
+    for d, c, a in draws:
+        want, got = digit_add_spectrum(f, d, c, a), power_uniformity(f, d, c).spectrum
+        if got != want:
+            problems.append(f"power route at d = {d}, c = {c}: spectrum {got[-3:]} "
+                            f"(last three), digit-add row at a = {a} gives {want[-3:]}")
+    return problems
 
 
 def main() -> int:

@@ -108,6 +108,21 @@ MUTANTS = (
            "sweep(f, PowerMap(d), [inst.c for inst in group])",
            "sweep(f, PowerMap(d), [inst.c for inst in group] * 2)",
            ("tests/test_theorems.py::test_verify_asks_for_each_grid_c_once",)),
+    Mutant("power route adds the a = 0 row at c = 1 too", "src/cdiff/ddt.py",
+           "hists[c != 1, :len(a0)] += a0", "hists[:, :len(a0)] += a0",
+           ("tests/test_ddt.py::test_power_route_over_many_x_chunks_against_digit_add_rows",)),
+    Mutant("c = 0 report counts the a = 0 row once", "src/cdiff/ddt.py",
+           "_slab_reports([0], 2 * a0[None],", "_slab_reports([0], a0[None],",
+           ("tests/test_ddt.py::test_power_route_over_many_x_chunks_against_digit_add_rows",)),
+    Mutant("a = 0 row loses its x = 0 solution at b = 0", "src/cdiff/ddt.py",
+           "a0[1] += 1", "a0[1] += 0",
+           ("tests/test_ddt.py::test_power_route_over_many_x_chunks_against_digit_add_rows",)),
+    Mutant("Dickson half-branch predictions swapped", "src/cdiff/closedform.py",
+           'm_gcd // 2, "square-disc-half"\n    elif eta_disc == -1 and dv == minus_two '
+           'and 1 <= t <= r - 2:\n        predicted, branch = lbar // 2,',
+           'lbar // 2, "square-disc-half"\n    elif eta_disc == -1 and dv == minus_two '
+           'and 1 <= t <= r - 2:\n        predicted, branch = m_gcd // 2,',
+           ("tests/test_closedform.py::test_dickson_preimage_branches_agree_with_enumeration",)),
 )
 
 

@@ -270,6 +270,16 @@ def test_uniformity_rejects_exponent_zero(capsys):
      "Dickson degree must be >= 0, got m = -1"),
     (("field", "-p", "2", "-n", "0"), "extension degree must be >= 1, got n = 0"),
     (("gold-dist", "-n", "0", "-k", "1"), "extension degree must be >= 1, got n = 0"),
+    (("field", "-p", "5", "-n", "1", "--modulus", "1,1"),
+     "degree-1 modulus must be x (0,1), got modulus = 1,1"),
+    (("field", "-p", "3", "-n", "2", "--modulus", "1,0,0,1"),
+     "modulus must be monic of degree n = 2 (3 coefficients c0..c2), got modulus = 1,0,0,1"),
+    (("field", "-p", "3", "-n", "2", "--modulus", "0,0,1"),
+     "modulus override is reducible over GF(3), got modulus = 0,0,1"),
+    (("dickson", "-p", "2", "-n", "3", "-m", "3", "--preimage", "g"),
+     "preimage branch formula requires odd characteristic, got p = 2"),
+    (("partition", "-p", "2", "-n", "3"),
+     "sign partition requires odd characteristic, got p = 2"),
 ])
 def test_negative_exponent_or_degree_is_named(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)

@@ -332,6 +332,20 @@ def test_sign_partition_rejects_char_two():
         sign_partition(build_field(2, 3))
 
 
+def test_companions_name_what_they_refuse():
+    f = build_field(2, 3)
+    with pytest.raises(ValueError, match=r"^Jacobsthal counts require odd "
+                                         r"characteristic, got p = 2$"):
+        jacobsthal_counts(f)
+    with pytest.raises(ValueError, match=r"^preimage branch formula requires odd "
+                                         r"characteristic, got p = 2$"):
+        dickson_preimage_count(f, 3, 1)
+    with pytest.raises(ValueError, match=r"^GF\(3\^2\) does not extend GF\(2\^2\)$"):
+        subfield_embedding(build_field(2, 2), build_field(3, 2))
+    with pytest.raises(ValueError, match=r"^GF\(2\^3\) does not extend GF\(2\^2\)$"):
+        subfield_embedding(build_field(2, 2), f)
+
+
 def test_jacobsthal_counts():
     for n, expected in [(2, 2), (3, 12), (4, 38), (5, 120)]:
         j = jacobsthal_counts(build_field(3, n))

@@ -360,6 +360,14 @@ def test_fields_compare_and_hash_by_their_parameters():
     assert other != f and f not in {other}
 
 
+def test_refusals_name_the_value_given():
+    f = build_field(3, 2)
+    with pytest.raises(ValueError, match=r"^expected 2 coefficients, got 3$"):
+        f.element([1, 0, 1])
+    with pytest.raises(ValueError, match=r"odd characteristic, got p = 2$"):
+        build_field(2, 3).quadratic_character(1)
+
+
 def test_modulus_override_accepted():
     # x^2 + 2x + 2 is a different irreducible over Z_3
     f = Field.build(3, 2, modulus=[2, 2, 1])
