@@ -111,27 +111,22 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _json_int(value: int | None) -> str:
-    return "null" if value is None else str(value)
-
-
 def _instance_lines(report: theorems.VerificationReport) -> str:
-    """A row's instance records, each byte-identical to `_print_record` of its
-    dict: keys in sorted order, strings through json's ASCII encoder.  The
-    keys between "c" and "observed", and those after "ok", are one template
-    per branch run (`VerificationReport.runs`)."""
+    """A row's instance records, one per c of each branch run's columns, each
+    byte-identical to `_print_record` of its dict: keys in sorted order,
+    strings through json's ASCII encoder.  The keys between "c" and
+    "observed", and those after "ok", are one template per run."""
     case_json = _json_str(report.case_id)
     lines = []
     for run in report.runs:
-        head = run.instances[0]
-        mid = (f',"case":{case_json},"condition":{_json_str(head.c_label)},'
-               f'"d":{head.d},"k":{_json_int(head.k)},"n":{head.n},"observed":')
-        tail = (f',"p":{head.p},"predicted":{_json_str(head.predicted.render())},'
+        mid = (f',"case":{case_json},"condition":{_json_str(run.c_label)},"d":{run.d},'
+               f'"k":{"null" if run.k is None else run.k},"n":{run.n},"observed":')
+        tail = (f',"p":{run.p},"predicted":{_json_str(run.predicted.render())},'
                 f'"record":"instance","schema":"{SCHEMA}"}}\n')
-        for inst, observed, ok in zip(*run):
+        for c, observed, ok in zip(run.c_values, run.observed, run.ok):
             if isinstance(observed, tuple):
                 observed = "[" + ",".join(map(str, observed)) + "]"
-            lines.append(f'{{"c":{_json_int(inst.c)}{mid}{observed},'
+            lines.append(f'{{"c":{"null" if c is None else c}{mid}{observed},'
                          f'"ok":{"true" if ok else "false"}{tail}')
     return "".join(lines)
 
@@ -155,7 +150,7 @@ def _cmd_verify(args) -> int:
         sys.stdout.write(_instance_lines(report))
         _print_record({"schema": SCHEMA, "record": "case-verdict",
                        "case": report.case_id, "passed": report.passed,
-                       "instances": sum(len(run.instances) for run in report.runs),
+                       "instances": sum(len(run.c_values) for run in report.runs),
                        "max_attained": report.max_attained})
         printed, failed = True, failed or not report.passed
     if not printed:

@@ -367,14 +367,14 @@ def uniformity(field: Field, func: FunctionSpec, c: int) -> CDDTReport:
 
 def _c_list(field: Field, c_values) -> list[int]:
     """The c's as an ascending list of plain ints.  An integer array gets one
-    range check; any other c-set is checked c by c, which names the first c
-    that is not an element."""
-    values = list(c_values)
+    range check and `np.sort`; any other c-set is checked c by c, which names
+    the first c that is not an element."""
+    values = c_values if isinstance(c_values, np.ndarray) else list(c_values)
     cs = np.asarray(values)
     if not (cs.dtype.kind in "iu" and cs.ndim == 1
             and ((cs >= 0) & (cs < field.q)).all()):
-        values = [field.check_element("c", c) for c in values]
-    return sorted(map(int, values))
+        cs = np.array([field.check_element("c", c) for c in values], dtype=np.int64)
+    return np.sort(cs).tolist()
 
 
 def context_key(field: Field, d: int) -> tuple[int, int, int]:

@@ -70,34 +70,41 @@ Prediction = Union[Exact, UpperBound, ValueSet]
 
 
 # ---------------------------------------------------------------------------
-# Instances and reports
+# Grid entries and reports
 # ---------------------------------------------------------------------------
 
-class Instance(NamedTuple):
-    """One concrete check: a field, an exponent and a c.  A grid holds only
-    these; the value-set run that `verify_case` appends has c = None."""
+class GridEntry(NamedTuple):
+    """The c's that one branch of a row accepts at one exponent, as an
+    ascending int64 array of encodings; `c` is None, as an entry holds many."""
     p: int
     n: int
     d: int
     k: int | None
-    c: int | None                      # canonical encoding; None = value-set run
     c_label: str
     predicted: Prediction
+    c_values: np.ndarray
+    c = None
 
 
 class BranchRun(NamedTuple):
-    """Consecutive checked instances of one branch: they share (p, n, d, k,
-    c_label, predicted), and `observed[i]` and `ok[i]` are the uniformity
-    seen at `instances[i]` (for a value-set run, the sorted set its branch
-    run observed) and its verdict."""
-    instances: tuple[Instance, ...]
+    """A grid entry's checks as columns: `observed[i]` and `ok[i]` are the
+    uniformity seen at `c_values[i]` and its verdict.  The value-set run that
+    `verify_case` appends has c = None and observes the sorted set its branch
+    run observed.  The columns are tuples, so a run compares by value."""
+    p: int
+    n: int
+    d: int
+    k: int | None
+    c_label: str
+    predicted: Prediction
+    c_values: tuple[int | None, ...]
     observed: tuple[int | tuple[int, ...], ...]
     ok: tuple[bool, ...]
 
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """A case's results as its branch runs, in the instances' order."""
+    """A case's results as its branch runs, in grid order."""
     case_id: str
     runs: tuple[BranchRun, ...]
 
@@ -106,17 +113,16 @@ class VerificationReport:
         return all(all(run.ok) for run in self.runs)
 
     @property
-    def counterexamples(self) -> list[tuple[Instance, int | tuple[int, ...]]]:
-        """(instance, observed) of every failed check."""
-        return [(inst, obs) for run in self.runs
-                for inst, obs, ok in zip(*run) if not ok]
+    def counterexamples(self) -> list[tuple[BranchRun, int | None, int | tuple[int, ...]]]:
+        """(run, c, observed) of every failed check."""
+        return [(run, c, obs) for run in self.runs
+                for c, obs, ok in zip(run.c_values, run.observed, run.ok) if not ok]
 
     @property
     def max_attained(self) -> int | None:
         """The largest uniformity observed under an UpperBound, if any."""
-        return max((obs for run in self.runs
-                    if isinstance(run.instances[0].predicted, UpperBound)
-                    for obs in run.observed), default=None)
+        return max((max(run.observed) for run in self.runs
+                    if isinstance(run.predicted, UpperBound)), default=None)
 
 
 # ---------------------------------------------------------------------------
@@ -141,10 +147,11 @@ class Row:
     `family(field)` lists the exponents (d, k) the claim covers over any
     field.  The default grid runs the family over `fields`, declared in (p, n,
     k) order, whose entries are (p, n), or (p, n, k) to keep only that k.  For
-    each exponent, in (p, n, d) order, the grid takes, branch by branch, every
-    c in ascending order that the branch accepts, from one mask over the
-    field's elements; `sweep` gives the field's value set, if known, for the
-    uniformities the last branch observes at each exponent.
+    each exponent, in (p, n, d) order, the grid holds, branch by branch, one
+    entry with the ascending array of c's the branch accepts, from one mask
+    over the field's elements, if it accepts any; `sweep` gives the field's
+    value set, if known, for the uniformities the last branch observes at
+    each exponent.
 
     At (field, d, c) the row looks up the first family exponent e that is the
     same map as x^d (e = d mod q-1); it applies when one of its branches,
@@ -182,23 +189,17 @@ class Row:
                              if self._mask(b, field, k, cs)[0]), None)
         return None
 
-    def exponents(self, max_size: int):
-        """(field, d, k) for each exponent of the default grid, in grid order."""
-        for p, n, *pinned_k in self.fields:
-            if p**n > max_size:
-                continue
+    def default_instances(self, max_size: int) -> list[GridEntry]:
+        out = []
+        for p, n, *pinned_k in [e for e in self.fields if e[0]**e[1] <= max_size]:
             f = build_field(p, n)
             for d, k in self.family(f):
                 if not pinned_k or k == pinned_k[0]:
-                    yield f, d, k
-
-    def default_instances(self, max_size: int) -> list[Instance]:
-        out = []
-        for f, d, k in self.exponents(max_size):
-            for branch in self.branches:
-                label, predicted = _at(branch.label, f, k), _at(branch.predicted, f, k)
-                cs = np.flatnonzero(self._mask(branch, f, k, f.elements())).tolist()
-                out.extend([Instance(f.p, f.n, d, k, c, label, predicted) for c in cs])
+                    for branch in self.branches:
+                        cs = np.flatnonzero(self._mask(branch, f, k, f.elements()))
+                        if len(cs):
+                            out.append(GridEntry(p, n, d, k, _at(branch.label, f, k),
+                                                 _at(branch.predicted, f, k), cs))
         return out
 
 
@@ -455,31 +456,35 @@ def applicable_cases(field: Field, d: int, c: int) -> list[Row]:
 # ---------------------------------------------------------------------------
 
 def verify_case(case: Row, max_size: int = DEFAULT_SIZE_CAP) -> VerificationReport:
-    """Check every instance of a case's default grid up to `max_size`;
-    reports (never raises) on prediction failure, as branch runs in the
-    grid's order.  The instances with one (field, d) are one `ddt.sweep`
-    over their c's, which counts only the orbits of c that no earlier sweep
-    in the process has counted for d's exponent class, so rows that share a
-    field and an exponent class count each orbit once.  Where the row knows
-    the field's value set, a value-set run of what the exponent's last
-    branch observed follows its runs.  To check a row on other fields, give
-    it other fields (`dataclasses.replace(row, fields=...)`)."""
+    """Check every grid entry of a case up to `max_size`; reports (never
+    raises) on prediction failure, as one branch run per entry in grid order.
+    The entries with one (field, d) are one `ddt.sweep` over their c-arrays,
+    which counts only the orbits of c that no earlier sweep in the process
+    has counted for d's exponent class, so rows that share a field and an
+    exponent class count each orbit once.  Where the row knows the field's
+    value set, a value-set run of what the exponent's last branch observed
+    follows its runs.  To check a row on other fields, give it other fields
+    (`dataclasses.replace(row, fields=...)`)."""
     runs = []
     for (p, n, d), group in groupby(case.default_instances(max_size),
                                     attrgetter("p", "n", "d")):
         group, f = list(group), build_field(p, n)
-        observed_at = {r.c: r.uniformity
-                       for r in sweep(f, PowerMap(d), [inst.c for inst in group])}
-        for _, run in groupby(group, attrgetter("k", "c_label", "predicted")):
-            run = tuple(run)
-            runs.append((run, tuple(observed_at[inst.c] for inst in run)))
+        cs = np.concatenate([entry.c_values for entry in group])
+        # the sweep reports by ascending c: read each back at its c's place
+        swept = np.array([r.uniformity for r in sweep(f, PowerMap(d), cs)])
+        observed = np.split(swept[np.searchsorted(np.sort(cs), cs)],
+                            np.cumsum([len(entry.c_values) for entry in group[:-1]]))
+        for entry, obs in zip(group, observed):
+            ok = entry.predicted.check(obs)
+            runs.append(BranchRun(*entry[:-1], tuple(entry.c_values.tolist()),
+                                  tuple(obs.tolist()), tuple(ok.tolist())))
         if (values := case.sweep(f)) is not None:
             label = _at(case.branches[-1].label, f, group[0].k)
-            seen = {observed_at[inst.c] for inst in group if inst.c_label == label}
-            runs.append(((Instance(p, n, d, group[0].k, None, f"sweep {label}",
-                                   ValueSet(values)),), (tuple(sorted(seen)),)))
-    return VerificationReport(case.id, tuple(
-        BranchRun(run, obs, tuple(map(run[0].predicted.check, obs))) for run, obs in runs))
+            seen = tuple(sorted({u for run in runs[-len(group):] if run.c_label == label
+                                 for u in run.observed}))
+            runs.append(BranchRun(p, n, d, group[0].k, f"sweep {label}", ValueSet(values),
+                                  (None,), (seen,), (ValueSet(values).check(seen),)))
+    return VerificationReport(case.id, tuple(runs))
 
 
 def verify_all(case_ids: list[str] | None = None,
@@ -502,12 +507,10 @@ def _summarize(report: VerificationReport) -> list[dict]:
     """One row per branch run of a case, in the runs' order."""
     rows = []
     for run in report.runs:
-        head, observed = run.instances[0], set()
-        for obs in run.observed:
-            observed.update(obs if isinstance(obs, tuple) else (obs,))
-        rows.append({"case": report.case_id, "p": head.p, "n": head.n, "d": head.d,
-                     "condition": head.c_label, "predicted": head.predicted.render(),
-                     "observed": "{" + ",".join(map(str, sorted(observed))) + "}",
+        observed = run.observed[0] if isinstance(run.predicted, ValueSet) else run.observed
+        rows.append({"case": report.case_id, "p": run.p, "n": run.n, "d": run.d,
+                     "condition": run.c_label, "predicted": run.predicted.render(),
+                     "observed": "{" + ",".join(map(str, sorted(set(observed)))) + "}",
                      "verdict": "pass" if all(run.ok) else "FAIL"})
     return rows
 

@@ -101,13 +101,22 @@ MUTANTS = (
            "if True:",
            ("tests/test_field.py::test_exp_log_tables_match_schoolbook_walk",)),
     Mutant("value set read from every run of the exponent", "src/cdiff/theorems.py",
-           "seen = {observed_at[inst.c] for inst in group if inst.c_label == label}",
-           "seen = set(observed_at.values())",
+           "for run in runs[-len(group):] if run.c_label == label",
+           "for run in runs[-len(group):]",
            ("tests/test_theorems.py::test_verify_value_set_instance",)),
     Mutant("registry sweep asked for each c twice", "src/cdiff/theorems.py",
-           "sweep(f, PowerMap(d), [inst.c for inst in group])",
-           "sweep(f, PowerMap(d), [inst.c for inst in group] * 2)",
+           "sweep(f, PowerMap(d), cs)", "sweep(f, PowerMap(d), np.concatenate([cs, cs]))",
            ("tests/test_theorems.py::test_verify_asks_for_each_grid_c_once",)),
+    Mutant("observed read in the sweep's ascending-c order, not the run's",
+           "src/cdiff/theorems.py",
+           "swept[np.searchsorted(np.sort(cs), cs)]", "swept",
+           ("tests/test_theorems.py::test_verify_value_set_instance",
+            "tests/test_cli.py::test_verify_output_is_pinned")),
+    Mutant("a grid entry drops its last c", "src/cdiff/theorems.py",
+           "cs = np.flatnonzero(self._mask(branch, f, k, f.elements()))",
+           "cs = np.flatnonzero(self._mask(branch, f, k, f.elements()))[:-1]",
+           ("tests/test_theorems.py::test_default_grids_agree_with_the_predicate",
+            "tests/test_theorems.py::test_default_grids_are_pinned")),
     Mutant("power route adds the a = 0 row at c = 1 too", "src/cdiff/ddt.py",
            "hists[c != 1, :len(a0)] += a0", "hists[:, :len(a0)] += a0",
            ("tests/test_ddt.py::test_power_route_over_many_x_chunks_against_digit_add_rows",)),

@@ -46,10 +46,10 @@ def check(row, p: int, n: int) -> VerificationReport:
     report = verify_case(dataclasses.replace(row, fields=((p, n),)))
     if not report.passed:
         bad = report.counterexamples
-        inst, observed = bad[0]
+        run, c, observed = bad[0]
         print(f"FAIL {row.id} over GF({p}^{n}): {len(bad)} counterexamples, "
-              f"first d = {inst.d}, c = {inst.c}, predicted "
-              f"{inst.predicted.render()}, observed {observed}")
+              f"first d = {run.d}, c = {c}, predicted "
+              f"{run.predicted.render()}, observed {observed}")
     return report
 
 
@@ -65,9 +65,8 @@ def main() -> int:
             report = check(row, p, n)
             failed += not report.passed
             for run in report.runs:
-                head = run.instances[0]
-                if isinstance(head.predicted, UpperBound):
-                    slack[row.id, head.c_label][head.predicted.value - max(run.observed)] += 1
+                if isinstance(run.predicted, UpperBound):
+                    slack[row.id, run.c_label][run.predicted.value - max(run.observed)] += 1
     print(f"{checked} (row, field) pairs off the grids, {failed} failed, "
           f"{time.perf_counter() - start:.1f} s")
     print("upper bounds off the grids, per branch (slack = bound - maximum of a run):")
@@ -83,7 +82,7 @@ def main() -> int:
             if row.family(f):
                 report = check(row, p, n)
                 pairs += 1
-                instances += sum(len(run.instances) for run in report.runs)
+                instances += sum(len(run.c_values) for run in report.runs)
                 single_failed += not report.passed
         field._FIELD_CACHE.clear()
         ddt._CONTEXTS.clear()

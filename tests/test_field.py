@@ -7,6 +7,7 @@ import pytest
 from cdiff.field import Field, build_field, is_irreducible, is_prime
 from cdiff.funcs import PowerMap, value_table
 
+import audit_tables
 from conftest import (ORACLE_FIELDS, RefField, ref_add, ref_poly_mulmod, ref_eval_poly,
                       ref_is_irreducible)
 
@@ -180,6 +181,17 @@ def test_exp_log_tables_match_schoolbook_walk(p, n, modulus):
         assert _ref_order(g, mod, p) == f.q - 1
         assert all(_ref_order(list(f.coeffs(e)), mod, p) < f.q - 1
                    for e in range(2, f.generator))
+
+
+def test_tables_of_every_extension_field_up_to_2_16_pass_the_audit():
+    # the audit that CI runs above 2^16 and over the prime fields below it:
+    # exp[k+1] = g exp[k] by schoolbook products, exp a permutation, log[exp[k]] = k
+    fields = [(p, n) for p in range(2, 2**8) if is_prime(p)
+              for n in range(2, 17) if p**n <= 2**16]
+    assert len(fields) == 93
+    failed = {(p, n): problems for p, n in fields
+              if (problems := audit_tables.audit(Field.build(p, n)))}
+    assert not failed
 
 
 @pytest.mark.parametrize("p,n,generator", [(3, 2, [2, 0]), (5, 2, [2, 1]),

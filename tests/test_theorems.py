@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+from collections import Counter
 from operator import attrgetter
 
 import numpy as np
@@ -11,7 +12,7 @@ from cdiff.field import build_field, is_prime, DEFAULT_SIZE_CAP
 from cdiff import ddt
 from cdiff.cli import main as cli_main
 from cdiff.ddt import power_uniformity
-from cdiff.theorems import (Exact, UpperBound, ValueSet, Instance, Branch, Row,
+from cdiff.theorems import (Exact, UpperBound, ValueSet, BranchRun, Branch, Row,
                             registry, case_by_id, applicable_cases, verify_case,
                             verify_all, reproduce_table)
 
@@ -113,36 +114,34 @@ def test_gold_binary_m3_applicable():
 def test_verify_half_gold_instance():
     # (p=3, n=4, k=2, c=-1): 2n/gcd(2n,k) = 4 even, prediction (3^2+1)/2 = 5
     case = dataclasses.replace(case_by_id("half-gold-pcn"), fields=((3, 4, 2),))
-    inst = Instance(3, 4, (3**2 + 1) // 2, 2, 2, "c = -1", Exact(5))
     report = verify_case(case)
-    assert report.passed and report.runs[0].instances == (inst,)
-    assert report.runs[0].observed == (5,)
+    assert report.passed and report.runs == (
+        BranchRun(3, 4, (3**2 + 1) // 2, 2, "c = -1", Exact(5), (2,), (5,), (True,)),)
 
 
 def test_verify_two_thirds_default_grid():
     report = verify_case(case_by_id("two-thirds"), max_size=200)
     assert report.passed
     assert report.max_attained is not None and report.max_attained <= 3
-    ps = {(inst.p, inst.n) for run in report.runs for inst in run.instances}
+    ps = {(run.p, run.n) for run in report.runs}
     assert (5, 1) in ps
 
 
 def test_verify_inverse_c0_example():
     case = dataclasses.replace(case_by_id("inverse-c0"), fields=((7, 2),))
-    inst = Instance(7, 2, 47, None, 0, "c = 0", Exact(1))
     report = verify_case(case)
-    assert report.passed and report.runs[0].instances == (inst,)
-    assert report.runs[0].observed == (1,)
+    assert report.passed and report.runs == (
+        BranchRun(7, 2, 47, None, "c = 0", Exact(1), (0,), (1,), (True,)),)
 
 
 def test_verify_gold_binary_example():
     case = dataclasses.replace(case_by_id("gold-binary-outside"), fields=((2, 6, 2),))
     f = build_field(2, 6)
-    insts = [Instance(2, 6, 5, 2, c, "c outside GF(2^2)", Exact(5))
-             for c in range(f.q) if not f.in_subfield(c, 2)]
+    cs = tuple(c for c in range(f.q) if not f.in_subfield(c, 2))
     report = verify_case(case)
-    assert report.passed and [len(run.instances) for run in report.runs] == [64 - 4]
-    assert report.runs[0].instances == tuple(insts)
+    assert report.passed and len(cs) == 64 - 4
+    assert report.runs == (BranchRun(2, 6, 5, 2, "c outside GF(2^2)", Exact(5),
+                                     cs, (5,) * len(cs), (True,) * len(cs)),)
 
 
 def test_verify_value_set_instance():
@@ -150,38 +149,48 @@ def test_verify_value_set_instance():
     # the 78 c not in {0, 1, -1}; the c = -1 run observes 6, not in the set
     case = dataclasses.replace(case_by_id("pn-minus-3"), fields=((3, 4),))
     others = tuple(c for c in range(81) if c not in (0, 1, 2))
-    inst = Instance(3, 4, 78, None, None, "sweep c not in {0,1,-1}",
-                    ValueSet(frozenset({2, 4, 5})))
     report = verify_case(case)
-    assert report.passed and report.runs[-1].instances == (inst,)
-    assert report.runs[-1].observed == ((2, 4, 5),)
-    assert tuple(i.c for i in report.runs[-2].instances) == others
+    assert report.passed and report.runs[-1] == BranchRun(
+        3, 4, 78, None, "sweep c not in {0,1,-1}", ValueSet(frozenset({2, 4, 5})),
+        (None,), ((2, 4, 5),), (True,))
+    assert report.runs[-2].c_values == others
     assert report.runs[0].observed == (6,)
-    assert all(i.c is not None for i in case.default_instances(DEFAULT_SIZE_CAP))
+    assert [entry.c_label for entry in case.default_instances(DEFAULT_SIZE_CAP)] == [
+        "c = -1", "c = 0", "c not in {0,1,-1}"]
 
 
 def test_verify_asks_for_each_grid_c_once(monkeypatch):
-    # the value-set run reads the uniformities its branch run observed, so
-    # the sweep is asked for each of the 80 grid c's of x^78 once
-    case = dataclasses.replace(case_by_id("pn-minus-3"), fields=((3, 4),))
+    # every row over its whole grid asks `power_uniformity` for each c of its
+    # grid entries once, and nothing else; the value-set run reads the
+    # uniformities its branch run observed, so x^78 over GF(3^4) asks for
+    # its 80 grid c's, not 158
     asked, count = [], ddt.power_uniformity
 
     def spy(field, d, c, **kwargs):
-        asked.append(c)
+        asked.append((field.p, field.n, d, c))
         return count(field, d, c, **kwargs)
     monkeypatch.setattr(ddt, "power_uniformity", spy)
-    report = verify_case(case)
-    assert report.passed and sorted(asked) == [0] + list(range(2, 81))
-    assert len(asked) == len(case.default_instances(DEFAULT_SIZE_CAP)) == 80
+    for case in registry():
+        grid = case.default_instances(DEFAULT_SIZE_CAP)
+        for entry in grid:
+            assert entry.c is None and entry.c_values.dtype == np.int64
+            assert (np.diff(entry.c_values) > 0).all(), (case.id, entry[:5])
+        asked.clear()
+        assert verify_case(case).passed, case.id
+        assert Counter(asked) == Counter((e.p, e.n, e.d, c) for e in grid
+                                         for c in e.c_values.tolist()), case.id
+    case = dataclasses.replace(case_by_id("pn-minus-3"), fields=((3, 4),))
+    asked.clear()
+    assert verify_case(case).passed
+    assert sorted(c for *_, c in asked) == [0] + list(range(2, 81))
 
 
 def test_value_set_row_on_a_field_without_a_known_set():
     # pn-minus-3 knows its c-sweep value sets for n = 2..6 only
     row = dataclasses.replace(case_by_id("pn-minus-3"), fields=((3, 7),))
-    insts = row.default_instances(DEFAULT_SIZE_CAP)
-    assert all(inst.c is not None for inst in insts)
-    assert [inst.c_label for inst in insts[:2]] == ["c = -1", "c = 0"]
-    assert len(insts) == 2 + 3**7 - 3
+    grid = row.default_instances(DEFAULT_SIZE_CAP)
+    assert [entry.c_label for entry in grid] == ["c = -1", "c = 0", "c not in {0,1,-1}"]
+    assert sum(len(entry.c_values) for entry in grid) == 2 + 3**7 - 3
 
 
 def test_verify_records_failures_without_raising():
@@ -189,21 +198,21 @@ def test_verify_records_failures_without_raising():
                (Branch("c = 0", lambda f, k, c: c == 0, Exact(99)),))
     report = verify_case(fake)
     assert not report.passed
-    assert report.counterexamples == [(fake.default_instances(DEFAULT_SIZE_CAP)[0], 2)]
+    assert report.counterexamples == [(report.runs[0], 0, 2)]
+    assert report.runs[0][:6] == fake.default_instances(DEFAULT_SIZE_CAP)[0][:6]
 
 
 def test_records_are_immutable_and_hash_by_value():
-    inst = Instance(3, 2, 2, None, 5, "c != 1", Exact(2))
-    twin = Instance(3, 2, 2, None, 5, "c != 1", Exact(2))
     square = dataclasses.replace(case_by_id("square"), fields=((3, 2),))
-    run, again = verify_case(square).runs[0], verify_case(square).runs[0]
-    assert inst == twin and hash(inst) == hash(twin)
-    assert run == again and hash(run) == hash(again)
+    report, again = verify_case(square), verify_case(square)
+    assert report == again and hash(report) == hash(again)
+    run = report.runs[0]
     cs = (0, 2, 3, 4, 5, 6, 7, 8)
-    assert run == (tuple(inst._replace(c=c) for c in cs), (2,) * 8, (True,) * 8)
-    assert run.instances[cs.index(5)] == twin
-    assert inst != inst._replace(c=6)
-    for record, attr in ((inst, "c"), (run, "ok")):
+    assert run == BranchRun(3, 2, 2, None, "c != 1", Exact(2), cs, (2,) * 8, (True,) * 8)
+    assert run != run._replace(c_values=cs[:-1] + (9,))
+    entry, = square.default_instances(DEFAULT_SIZE_CAP)
+    assert entry[:6] == run[:6] and entry.c_values.tolist() == list(cs)
+    for record, attr in ((entry, "c_values"), (run, "ok"), (report, "runs")):
         with pytest.raises(AttributeError):
             setattr(record, attr, None)
 
@@ -240,14 +249,13 @@ def test_verify_all_filter_and_max_size():
     assert [r.case_id for r in reports] == ["square", "bt-rows"]
     assert all(r.passed for r in reports)
     for r in reports:
-        assert all(inst.p ** inst.n <= 150 for run in r.runs for inst in run.instances)
+        assert all(run.p ** run.n <= 150 for run in r.runs)
     assert list(verify_all(case_ids=[])) == []
 
 
 def test_runs_are_the_branches_in_grid_order_then_the_sweep(capsys):
     report = verify_case(case_by_id("pn-minus-3"), max_size=9)
-    assert [(run.instances[0][:4] + (run.instances[0].c_label,), len(run.instances))
-            for run in report.runs] == [
+    assert [(run[:5], len(run.c_values)) for run in report.runs] == [
         ((3, 2, 6, None, "c = -1"), 1), ((3, 2, 6, None, "c = 0"), 1),
         ((3, 2, 6, None, "c not in {0,1,-1}"), 6),
         ((3, 2, 6, None, "sweep c not in {0,1,-1}"), 1)]
@@ -259,12 +267,12 @@ def test_runs_are_the_branches_in_grid_order_then_the_sweep(capsys):
     assert {report.case_id for report in reports if report.runs} == set(counts)
     for report in reports:
         runs = report.runs
-        assert all(key(a.instances[0]) != key(b.instances[0])
-                   for a, b in zip(runs, runs[1:])), report.case_id
+        assert all(key(a) != key(b) for a, b in zip(runs, runs[1:])), report.case_id
         for run in runs:
-            assert {key(inst) for inst in run.instances} == {key(run.instances[0])}
-            assert len(run.observed) == len(run.ok) == len(run.instances)
-        assert sum(len(run.instances) for run in runs) == counts.get(report.case_id, 0)
+            assert len(run.observed) == len(run.ok) == len(run.c_values) > 0
+            if not isinstance(run.predicted, ValueSet):
+                assert list(run.c_values) == sorted(set(run.c_values)), report.case_id
+        assert sum(len(run.c_values) for run in runs) == counts.get(report.case_id, 0)
 
 
 def test_verify_all_equals_one_verify_case_per_row():
@@ -278,23 +286,24 @@ def test_verify_all_equals_one_verify_case_per_row():
     assert shared == expected
 
 
-def _orbit_classes(instances) -> set:
-    """(p, n, class of d, orbit of c) of every c the instances ask for, with
-    the class {d p^i mod q-1} and the orbit of c under c -> c^p and
-    c -> 1/c."""
+def _orbit_classes(runs) -> set:
+    """(p, n, class of d, orbit of c) of every c the grid entries or branch
+    runs ask for, with the class {d p^i mod q-1} and the orbit of c under
+    c -> c^p and c -> 1/c."""
     keys = set()
-    for inst in instances:
-        f, m = build_field(inst.p, inst.n), inst.p ** inst.n - 1
-        d_class = min(inst.d * inst.p**i % m for i in range(inst.n))
-        key = -1 if inst.c == 0 else min(s * int(f.log[inst.c]) * inst.p**i % m
-                                         for i in range(inst.n) for s in (1, -1))
-        keys.add((inst.p, inst.n, d_class, key))
+    for run in runs:
+        f, m = build_field(run.p, run.n), run.p ** run.n - 1
+        d_class = min(run.d * run.p**i % m for i in range(run.n))
+        for c in run.c_values:
+            key = -1 if c == 0 else min(s * int(f.log[c]) * run.p**i % m
+                                        for i in range(run.n) for s in (1, -1))
+            keys.add((run.p, run.n, d_class, key))
     return keys
 
 
 def test_verify_all_counts_each_orbit_once(counted_rows):
-    keys = _orbit_classes(inst for case in registry()
-                       for inst in case.default_instances(DEFAULT_SIZE_CAP))
+    keys = _orbit_classes(entry for case in registry()
+                          for entry in case.default_instances(DEFAULT_SIZE_CAP))
     assert all(r.passed for r in verify_all())
     assert len(counted_rows) == len(keys) == 2328
 
@@ -303,13 +312,13 @@ def test_off_grid_rows_sharing_an_exponent_count_each_orbit_once(counted_rows):
     # GF(3^4) is on none of these grids; the half-pn-plus1 rows ask for
     # overlapping c's of x^41, the inverse-odd rows for disjoint unions of
     # orbits of x^79
-    instances = []
+    runs = []
     for case_id in ("inverse-odd-2", "inverse-odd-3",
                     "half-pn-plus1", "half-pn-plus1-refined"):
         report = verify_case(dataclasses.replace(case_by_id(case_id), fields=((3, 4),)))
         assert report.passed, case_id
-        instances.extend(inst for run in report.runs for inst in run.instances)
-    assert len(counted_rows) == len(_orbit_classes(instances)) == 26
+        runs.extend(report.runs)
+    assert len(counted_rows) == len(_orbit_classes(runs)) == 26
 
 
 def test_reproduce_table_rows():
@@ -333,19 +342,20 @@ def _sha256(lines):
 
 
 def test_default_grids_are_pinned():
-    # the grid instances in order, each value-set run after the branch run
-    # it summarizes, with that run's c's
+    # one line per c of the runs' columns, in grid order, each value-set run
+    # after the branch run it summarizes, with that run's c's
     lines = []
     for case in registry():
         runs = verify_case(case).runs
         for before, run in zip((None,) + runs, runs):
-            for i in run.instances:
-                summarized = None
-                if i.c is None:
-                    assert i.c_label == "sweep " + before.instances[0].c_label
-                    summarized = [j.c for j in before.instances]
-                lines.append(json.dumps([case.id, i.p, i.n, i.d, i.k, i.c, i.c_label,
-                                         i.predicted.render(), summarized]))
+            summarized = None
+            if isinstance(run.predicted, ValueSet):
+                assert run.c_values == (None,)
+                assert run.c_label == "sweep " + before.c_label
+                summarized = list(before.c_values)
+            for c in run.c_values:
+                lines.append(json.dumps([case.id, run.p, run.n, run.d, run.k, c, run.c_label,
+                                         run.predicted.render(), summarized]))
     assert len(lines) == 25327
     assert _sha256(lines) == \
         "da6a3680abfa814d80c4aece157e999ea2d690398af2c7606ab53281da5d39a4"
@@ -371,9 +381,10 @@ def test_applicable_cases_are_pinned():
 def test_default_grids_agree_with_the_predicate():
     for case in registry():
         groups = {}
-        for inst in case.default_instances(DEFAULT_SIZE_CAP):
-            if inst.c is not None:
-                groups.setdefault((inst.p, inst.n, inst.d), {})[inst.c] = inst.predicted
+        for entry in case.default_instances(DEFAULT_SIZE_CAP):
+            group = groups.setdefault((entry.p, entry.n, entry.d), {})
+            assert group.keys().isdisjoint(entry.c_values.tolist()), case.id
+            group.update(dict.fromkeys(entry.c_values.tolist(), entry.predicted))
         for (p, n, d), predicted in groups.items():
             f = build_field(p, n)
             assert set(predicted) == {c for c in range(f.q)
