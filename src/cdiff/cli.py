@@ -49,24 +49,28 @@ def _print_csv(values) -> None:
     print(",".join(f'"{v}"' if "," in str(v) else str(v) for v in values))
 
 
-def _emit_reports(field: Field, d: int, reports: list[CDDTReport], csv: bool) -> None:
-    """Uniformity reports as JSON-lines records, or as a CSV header and rows.
-    A record is byte-identical to `_print_record` of its dict: keys in
-    sorted order, strings through json's ASCII encoder."""
+def _emit_reports(field: Field, d: int, cs: list[int], reports: list[CDDTReport],
+                  csv: bool) -> None:
+    """The report of each c of `cs` as JSON-lines records, or as a CSV header
+    and rows.  A record is byte-identical to `_print_record` of its dict: keys
+    in sorted order, strings through json's ASCII encoder.  The keys after "c"
+    are rendered once per distinct report, which the c's of an orbit share."""
     if csv:
         _print_csv(("p", "n", "d", "c", "uniformity", "classification", "spectrum"))
-        for report in reports:
-            _print_csv((field.p, field.n, d, report.c, report.uniformity,
-                        report.classification,
+        for c, report in zip(cs, reports):
+            _print_csv((field.p, field.n, d, c, report.uniformity, report.classification,
                         ";".join(f"{v}:{m}" for v, m in report.spectrum)))
         return
-    write = sys.stdout.write
-    for report in reports:
-        spectrum = ",".join(f"[{v},{m}]" for v, m in report.spectrum)
-        write(f'{{"c":{report.c},"classification":{_json_str(report.classification)},'
-              f'"d":{d},"mode":{_json_str(report.mode)},"n":{field.n},"p":{field.p},'
-              f'"record":"uniformity","schema":"{SCHEMA}","spectrum":[{spectrum}],'
-              f'"uniformity":{report.uniformity}}}\n')
+    write, tails = sys.stdout.write, {}     # report -> its record after "c"
+    for c, report in zip(cs, reports):
+        if (tail := tails.get(report)) is None:
+            spectrum = ",".join(f"[{v},{m}]" for v, m in report.spectrum)
+            tail = tails[report] = (
+                f'"classification":{_json_str(report.classification)},"d":{d},'
+                f'"mode":{_json_str(report.mode)},"n":{field.n},"p":{field.p},'
+                f'"record":"uniformity","schema":"{SCHEMA}","spectrum":[{spectrum}],'
+                f'"uniformity":{report.uniformity}}}\n')
+        write(f'{{"c":{c},{tail}')
 
 
 def _cmd_field(args) -> int:
@@ -93,21 +97,21 @@ def _cmd_eval(args) -> int:
 def _cmd_uniformity(args) -> int:
     f = build_field(args.p, args.n)
     c = parse_element(f, args.c)
-    _emit_reports(f, args.d, [power_uniformity(f, args.d, c)], args.csv)
+    _emit_reports(f, args.d, [c], [power_uniformity(f, args.d, c)], args.csv)
     return 0
 
 
 def _cmd_spectrum(args) -> int:
     f = build_field(args.p, args.n)
     c = parse_element(f, args.c)
-    _emit_reports(f, args.d, [general_uniformity(f, PowerMap(args.d), c)], args.csv)
+    _emit_reports(f, args.d, [c], [general_uniformity(f, PowerMap(args.d), c)], args.csv)
     return 0
 
 
 def _cmd_sweep(args) -> int:
     f = build_field(args.p, args.n)
     cs = c_set(f, args.c_set)
-    _emit_reports(f, args.d, sweep(f, PowerMap(args.d), cs), args.csv)
+    _emit_reports(f, args.d, cs, sweep(f, PowerMap(args.d), cs), args.csv)
     return 0
 
 

@@ -41,8 +41,8 @@ yet in slabs of about 2^16 / q c-rows.  A slab is two adds, each reduced
 mod q-1 by an unsigned minimum rather than an integer `%`, one gather and
 two offset bincounts; the second is strided by the slab's largest count,
 not by q + 1.  Above q = 2^16 a slab is one row, formed 2^16 x's at a time
-in one int64 buffer.  Every other member of an orbit gets a copy of its
-report with c replaced.
+in one int64 buffer.  A report carries no c: every member of an orbit
+gets the orbit's report itself, and c is the caller's index into it.
 
 Exponents are shared the same way.  x^(dp) = (x^d)^p composes x^d with the
 Frobenius, so its count at c is that of x^d at c^(1/p), in c's orbit, and
@@ -75,29 +75,29 @@ def classification_of(uniformity: int) -> str:
 
 class CDDTReport(NamedTuple):
     """Uniformity of one function at one c, with the attained-count spectrum.
+    It names no c, so the c's of an orbit share one report.
 
     In "power-reduced" mode the spectrum counts b values over the a = 1 row
     merged with the analytic a = 0 row; in "full" mode it counts (a, b) pairs
     over every admissible row.  Either way the maximum key equals the
     uniformity.
     """
-    c: int
     uniformity: int
     spectrum: tuple[tuple[int, int], ...]   # (delta value, multiplicity), ascending
     classification: str
     mode: str
 
 
-def _slab_reports(cs: list[int], hists: np.ndarray, mode: str) -> list[CDDTReport]:
-    """The report of each c of `cs` from its row of `hists`, where row[v]
-    counts the entries equal to v (the uniformity is the largest such v),
-    from one `np.nonzero` over the slab (every row has a nonzero entry)."""
+def _slab_reports(hists: np.ndarray, mode: str) -> list[CDDTReport]:
+    """One report per row of `hists`, where row[v] counts the entries equal
+    to v (the uniformity is the largest such v), from one `np.nonzero` over
+    the slab (every row has a nonzero entry)."""
     rows, values = np.nonzero(hists)
     pairs = list(zip(values.tolist(), hists[rows, values].tolist()))
     out, start = [], 0
-    for c, end in zip(cs, np.cumsum(np.bincount(rows, minlength=len(cs))).tolist()):
+    for end in np.cumsum(np.bincount(rows, minlength=len(hists))).tolist():
         u = pairs[end - 1][0]
-        out.append(CDDTReport(c, u, tuple(pairs[start:end]), classification_of(u), mode))
+        out.append(CDDTReport(u, tuple(pairs[start:end]), classification_of(u), mode))
         start = end
     return out
 
@@ -216,7 +216,7 @@ def general_uniformity(field: Field, func: FunctionSpec, c: int) -> CDDTReport:
     if c == 1:              # drop row a = 0: F(x) - F(x) = 0 at every x
         hist[q] -= 1
         hist[0] -= q - 1
-    return _slab_reports([c], hist[None], "full")[0]
+    return _slab_reports(hist[None], "full")[0]
 
 
 def _plus_one(p: int, e: np.ndarray) -> np.ndarray:
@@ -269,19 +269,17 @@ def _log_terms(field: Field, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return zech, ls[:-1], diff[:-1]
 
 
-def _orbit_reports(field: Field, d: int, cs) -> dict[int, CDDTReport]:
-    """The report of c's orbit for each c of `cs`, from the cached reports
-    of d's class over `field`, counting first each orbit that has none."""
+def _orbit_reports(field: Field, d: int, cs: list[int]) -> list[CDDTReport]:
+    """The report of c's orbit for each c of `cs`, in order, from the cached
+    reports of d's class over `field`, counting first each orbit that has
+    none, once, at its first c."""
     reports = _CONTEXTS.setdefault((*context_key(field, d), field.modulus), {})
-    cs = list(dict.fromkeys(cs))
     keys = _orbit_keys(field, np.array(cs, dtype=np.int64)).tolist()
-    todo = {}                               # orbit key -> its first c
-    for c, key in zip(cs, keys):
-        if key not in reports:
-            todo.setdefault(key, c)
+    # orbit key -> its first c: the reversed pairs leave the first c last
+    todo = {key: c for c, key in zip(cs[::-1], keys[::-1]) if key not in reports}
     if todo:
         _count_orbits(field, d, todo, reports)
-    return {c: reports[key] for c, key in zip(cs, keys)}
+    return [reports[key] for key in keys]
 
 
 def _count_orbits(f: Field, d: int, todo: dict[int, int],
@@ -301,7 +299,7 @@ def _count_orbits(f: Field, d: int, todo: dict[int, int],
     a0[1] += 1                          # x = 0 at b = 0; g may be 1
     if -1 in todo:
         del todo[-1]
-        reports[-1] = _slab_reports([0], 2 * a0[None], "power-reduced")[0]
+        reports[-1] = _slab_reports(2 * a0[None], "power-reduced")[0]
     if not todo:
         return
     zech, ls, diff = _log_terms(f, d)
@@ -341,23 +339,19 @@ def _count_orbits(f: Field, d: int, todo: dict[int, int],
         hists = np.bincount(rows.ravel(), minlength=r * s).reshape(r, s)
         del rows
         hists[c != 1, :len(a0)] += a0
-        reports.update(zip(order[lo:lo + block],
-                           _slab_reports(c.tolist(), hists, "power-reduced")))
+        reports.update(zip(order[lo:lo + block], _slab_reports(hists, "power-reduced")))
 
 
 def power_uniformity(field: Field, d: int, c: int,
-                     _ctx: dict[int, CDDTReport] | None = None) -> CDDTReport:
+                     _ctx: CDDTReport | None = None) -> CDDTReport:
     """Uniformity of x^d at c from the a = 1 row plus the a = 0 gcd term.
-    `sweep` passes `_ctx`, the `_orbit_reports` of its c's, after checking d
-    and the c's, and the call only reads c's report.  Without one, the call
+    `sweep` passes `_ctx`, c's report from `_orbit_reports`, after checking
+    d and the c's, and the call returns it as it is.  Without one, the call
     checks d and c and reads c's report from `_orbit_reports`."""
     if _ctx is None:
         d, c = check_exponent(d), field.check_element("c", c)
-        _ctx = _orbit_reports(field, d, [c])
-    rep = _ctx[c]
-    if rep.c != c:
-        rep = CDDTReport(c, rep.uniformity, rep.spectrum, rep.classification, rep.mode)
-    return rep
+        _ctx = _orbit_reports(field, d, [c])[0]
+    return _ctx
 
 
 def uniformity(field: Field, func: FunctionSpec, c: int) -> CDDTReport:
@@ -366,15 +360,15 @@ def uniformity(field: Field, func: FunctionSpec, c: int) -> CDDTReport:
 
 
 def _c_list(field: Field, c_values) -> list[int]:
-    """The c's as an ascending list of plain ints.  An integer array gets one
-    range check and `np.sort`; any other c-set is checked c by c, which names
-    the first c that is not an element."""
+    """The c's as a list of plain ints, in the given order.  An integer array
+    gets one range check; any other c-set is checked c by c, which names the
+    first c that is not an element."""
     values = c_values if isinstance(c_values, np.ndarray) else list(c_values)
     cs = np.asarray(values)
     if not (cs.dtype.kind in "iu" and cs.ndim == 1
             and ((cs >= 0) & (cs < field.q)).all()):
         cs = np.array([field.check_element("c", c) for c in values], dtype=np.int64)
-    return np.sort(cs).tolist()
+    return cs.tolist()
 
 
 def context_key(field: Field, d: int) -> tuple[int, int, int]:
@@ -389,15 +383,16 @@ _CONTEXTS: dict[tuple, dict[int, CDDTReport]] = {}
 
 
 def sweep(field: Field, func: FunctionSpec, c_values) -> list[CDDTReport]:
-    """Independent reports for every c, in canonical element order.  A power
-    map reads the cached reports of its exponent class, so only the orbits
-    no earlier call has counted are counted."""
+    """One report per given c, in the given order, repeats kept: the i-th
+    report is that of the i-th c, which it does not name.  A power map reads
+    the cached reports of its exponent class, so only the orbits no earlier
+    call has counted are counted, and the c's of one orbit share its report."""
     cs = _c_list(field, c_values)
     if not cs:
         raise ValueError("empty c-set")
     if isinstance(func, PowerMap):
         reports = _orbit_reports(field, func.d, cs)
-        return [power_uniformity(field, func.d, c, _ctx=reports) for c in cs]
+        return [power_uniformity(field, func.d, c, _ctx=rep) for c, rep in zip(cs, reports)]
     return [general_uniformity(field, func, c) for c in cs]
 
 

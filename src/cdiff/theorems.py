@@ -459,8 +459,9 @@ def verify_case(case: Row, max_size: int = DEFAULT_SIZE_CAP) -> VerificationRepo
     """Check every grid entry of a case up to `max_size`; reports (never
     raises) on prediction failure, as one branch run per entry in grid order.
     The entries with one (field, d) are one `ddt.sweep` over their c-arrays,
-    which counts only the orbits of c that no earlier sweep in the process
-    has counted for d's exponent class, so rows that share a field and an
+    whose reports come in the arrays' order and split at their lengths.  It
+    counts only the orbits of c that no earlier sweep in the process has
+    counted for d's exponent class, so rows that share a field and an
     exponent class count each orbit once.  Where the row knows the field's
     value set, a value-set run of what the exponent's last branch observed
     follows its runs.  To check a row on other fields, give it other fields
@@ -470,10 +471,8 @@ def verify_case(case: Row, max_size: int = DEFAULT_SIZE_CAP) -> VerificationRepo
                                     attrgetter("p", "n", "d")):
         group, f = list(group), build_field(p, n)
         cs = np.concatenate([entry.c_values for entry in group])
-        # the sweep reports by ascending c: read each back at its c's place
         swept = np.array([r.uniformity for r in sweep(f, PowerMap(d), cs)])
-        observed = np.split(swept[np.searchsorted(np.sort(cs), cs)],
-                            np.cumsum([len(entry.c_values) for entry in group[:-1]]))
+        observed = np.split(swept, np.cumsum([len(entry.c_values) for entry in group[:-1]]))
         for entry, obs in zip(group, observed):
             ok = entry.predicted.check(obs)
             runs.append(BranchRun(*entry[:-1], tuple(entry.c_values.tolist()),

@@ -22,6 +22,12 @@ row).  That count shares neither the Zech table, the report cache nor the
 slab code with the route, and above 2^16 the route takes its one-row,
 2^16-x-chunk path.
 
+Then one draw of the inverse-exponent identity per field, seeded by q: a
+random d prime to q-1 and c != 0.  With e = 1/d mod q-1, x^e at c must have
+the whole report of x^d at c^-d (put y = u^d and y + a = v^d in
+x^e(y + a) - c x^e(y) = b).  The two counts take different exponents, so
+they share no `_log_terms`, and neither reads the digit-add oracle.
+
 Fields: every (p, n >= 2) with 2^16 < q <= 2^22, then the three largest
 primes below 2^22, with the tables and the count checked; then the 6,542
 primes below 2^16, with the tables checked (tier-1 audits the tables of the
@@ -134,6 +140,21 @@ def count_route(f: Field) -> list[str]:
     return problems
 
 
+def inverse_draw(f: Field) -> list[str]:
+    """The power route's report of x^e at c against that of x^d at c^-d, for
+    a random d prime to q-1, e = 1/d mod q-1 and a random c != 0."""
+    rng, m = random.Random(-f.q), f.q - 1
+    d = rng.randrange(2, m)
+    while math.gcd(d, m) != 1:
+        d = rng.randrange(2, m)
+    c = rng.randrange(1, f.q)
+    got, want = power_uniformity(f, pow(d, -1, m), c), power_uniformity(f, d, f.pow(c, -d % m))
+    if got != want:
+        return [f"inverse exponent of d = {d} at c = {c}: spectrum {got.spectrum[-3:]} "
+                f"(last three), x^d at c^-d gives {want.spectrum[-3:]}"]
+    return []
+
+
 def main() -> int:
     failed, small_primes = 0, [(p, 1) for p in range(2, 2**16) if is_prime(p)]
     for fields, routes, what in (
@@ -142,7 +163,7 @@ def main() -> int:
              f"{len(PRIME_FIELDS)} prime fields near the cap"),
             (small_primes, False,
              f"{len(small_primes)} prime fields below 2^16, tables only")):
-        start, route_s, bad = time.perf_counter(), 0.0, 0
+        start, route_s, inverse_s, bad = time.perf_counter(), 0.0, 0.0, 0
         for p, n in fields:
             try:
                 f = build_field(p, n)
@@ -150,7 +171,9 @@ def main() -> int:
                 if routes:
                     t0 = time.perf_counter()
                     problems += count_route(f)
-                    route_s += time.perf_counter() - t0
+                    t1 = time.perf_counter()
+                    problems += inverse_draw(f)
+                    route_s, inverse_s = route_s + t1 - t0, inverse_s + time.perf_counter() - t1
             except Exception as exc:    # a count that reads a stale buffer can raise
                 where = traceback.extract_tb(exc.__traceback__)[-1]
                 problems = [f"{type(exc).__name__} in {where.name}, line {where.lineno}: "
@@ -161,7 +184,8 @@ def main() -> int:
             field._FIELD_CACHE.clear()
             ddt._CONTEXTS.clear()
         print(f"{what}: {bad} failed, {time.perf_counter() - start:.1f} s"
-              + (f" ({route_s:.1f} s in the count checks)" if routes else ""))
+              + (f" ({route_s:.1f} s in the count checks, {inverse_s:.1f} s in the "
+                 f"inverse draws)" if routes else ""))
         failed += bad
     return 1 if failed else 0
 

@@ -207,14 +207,14 @@ def cold_contexts():
 
 @pytest.fixture
 def counted_rows(monkeypatch):
-    """The c of every report that `ddt` counts during the test, power-route
+    """The mode of every report that `ddt` counts during the test, power-route
     row or general scan, from a spy on `ddt._slab_reports`, which builds
     each counted report."""
     counted, slab_reports = [], ddt._slab_reports
 
-    def counting_slab_reports(cs, hists, mode):
-        counted.extend(cs)
-        return slab_reports(cs, hists, mode)
+    def counting_slab_reports(hists, mode):
+        counted.extend([mode] * len(hists))
+        return slab_reports(hists, mode)
 
     monkeypatch.setattr(ddt, "_slab_reports", counting_slab_reports)
     return counted

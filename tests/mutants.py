@@ -107,11 +107,24 @@ MUTANTS = (
     Mutant("registry sweep asked for each c twice", "src/cdiff/theorems.py",
            "sweep(f, PowerMap(d), cs)", "sweep(f, PowerMap(d), np.concatenate([cs, cs]))",
            ("tests/test_theorems.py::test_verify_asks_for_each_grid_c_once",)),
-    Mutant("observed read in the sweep's ascending-c order, not the run's",
-           "src/cdiff/theorems.py",
-           "swept[np.searchsorted(np.sort(cs), cs)]", "swept",
-           ("tests/test_theorems.py::test_verify_value_set_instance",
+    Mutant("sweep reports in ascending-c order, not the caller's", "src/cdiff/ddt.py",
+           "return cs.tolist()", "return np.sort(cs).tolist()",
+           ("tests/test_ddt.py::test_sweep_keeps_the_callers_c_order_and_repeats",
+            "tests/test_theorems.py::test_verify_value_set_instance",
             "tests/test_cli.py::test_verify_output_is_pinned")),
+    Mutant("orbit reports returned in orbit-key order, not the c's", "src/cdiff/ddt.py",
+           "return [reports[key] for key in keys]",
+           "return [reports[k] for k in sorted(keys)]",
+           ("tests/test_ddt.py::test_sweep_keeps_the_callers_c_order_and_repeats",
+            "tests/test_cli.py::test_verify_output_is_pinned")),
+    Mutant("a record's text reused for every report of its uniformity", "src/cdiff/cli.py",
+           "if (tail := tails.get(report)) is None:\n"
+           "            spectrum = \",\".join(f\"[{v},{m}]\" for v, m in report.spectrum)\n"
+           "            tail = tails[report] = (",
+           "if (tail := tails.get(report.uniformity)) is None:\n"
+           "            spectrum = \",\".join(f\"[{v},{m}]\" for v, m in report.spectrum)\n"
+           "            tail = tails[report.uniformity] = (",
+           ("tests/test_cli.py::test_sweep_records_are_the_reports_of_their_own_c",)),
     Mutant("a grid entry drops its last c", "src/cdiff/theorems.py",
            "cs = np.flatnonzero(self._mask(branch, f, k, f.elements()))",
            "cs = np.flatnonzero(self._mask(branch, f, k, f.elements()))[:-1]",
@@ -121,7 +134,7 @@ MUTANTS = (
            "hists[c != 1, :len(a0)] += a0", "hists[:, :len(a0)] += a0",
            ("tests/test_ddt.py::test_power_route_over_many_x_chunks_against_digit_add_rows",)),
     Mutant("c = 0 report counts the a = 0 row once", "src/cdiff/ddt.py",
-           "_slab_reports([0], 2 * a0[None],", "_slab_reports([0], a0[None],",
+           "_slab_reports(2 * a0[None],", "_slab_reports(a0[None],",
            ("tests/test_ddt.py::test_power_route_over_many_x_chunks_against_digit_add_rows",)),
     Mutant("a = 0 row loses its x = 0 solution at b = 0", "src/cdiff/ddt.py",
            "a0[1] += 1", "a0[1] += 0",

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from cdiff.cli import main, parse_element
+from cdiff.ddt import power_uniformity
 from cdiff.field import build_field
 from cdiff import theorems
 
@@ -446,6 +447,31 @@ def test_csv_output_is_pinned(capsys, argv, digest):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv,digest", [
+    # 2,185 records from 157 orbit reports, and 25 from 5 over GF(27)
+    (("sweep", "-p", "3", "-n", "7", "-d", "4", "--c-set", "not-pm-one"),
+     "d7e1ee248316e474c1b0784a2b931b1f0d3ff45da905228054961021b5f124b4"),
+    (("sweep", "-p", "3", "-n", "3", "-d", "24", "--c-set", "not-pm-one"),
+     "abb1b5b1615c273dd70fa82690f4dcd36ea0a6c65f61060be25d22e78cc0e313"),
+])
+def test_sweep_json_output_is_pinned(capsys, argv, digest):
+    # each distinct report's keys after "c" are rendered once and reused
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("p,n,d", [(3, 4, 4), (3, 5, 11), (2, 8, 7)])
+def test_sweep_records_are_the_reports_of_their_own_c(capsys, p, n, d):
+    # in each sweep some reports share a uniformity but not a spectrum, so a
+    # record's text must come from its own c's report
+    code, out, _ = run_cli(capsys, "sweep", "-p", str(p), "-n", str(n), "-d", str(d))
+    f = build_field(p, n)
+    want = [{"schema": "cdiff/1", "record": "uniformity", "p": p, "n": n, "d": d, "c": c,
+             **power_uniformity(f, d, c)._asdict()} for c in range(f.q)]
+    assert code == 0 and records(out) == json.loads(json.dumps(want))
 
 
 def test_installed_entry_point_runs():

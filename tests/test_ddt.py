@@ -110,12 +110,11 @@ def _a0_row_spectrum(q, d, c):
 
 
 def _assert_routes_agree(f, d, c, lookup):
-    _assert_spectra_agree(f, d, power_uniformity(f, d, c),
+    _assert_spectra_agree(f, d, c, power_uniformity(f, d, c),
                           general_uniformity(f, lookup, c))
 
 
-def _assert_spectra_agree(f, d, fast, slow):
-    c = fast.c
+def _assert_spectra_agree(f, d, c, fast, slow):
     assert fast.uniformity == slow.uniformity, (f.p, f.n, d, c)
     assert fast.classification == slow.classification
     a0 = _a0_row_spectrum(f.q, d, c)
@@ -128,8 +127,8 @@ def _assert_spectra_agree(f, d, fast, slow):
 
 @pytest.mark.parametrize("p,n", [(2, 1), (3, 1)] + _EXHAUSTIVE_FIELDS)
 def test_sweep_reports_equal_single_and_general_reports(p, n):
-    # a sweep counts one c per orbit under c -> c^p and c -> 1/c and copies
-    # that report to the orbit's other members; every copy must equal a call
+    # a sweep counts one c per orbit under c -> c^p and c -> 1/c and hands
+    # that report to the orbit's other members; every one must equal a call
     # that counts c in a cold cache and agree with the general route on the
     # whole spectrum, and sweeps that share a context over overlapping
     # c-sets, with repeats, must equal fresh sweeps
@@ -148,14 +147,14 @@ def test_sweep_reports_equal_single_and_general_reports(p, n):
             ddt._CONTEXTS.clear()
             assert got == sweep(f, PowerMap(d), cs)
         reports = sweep(f, PowerMap(d), range(f.q))
-        assert [r.c for r in reports] == list(range(f.q))
-        for rep in reports:
+        assert len(reports) == f.q
+        for c, rep in enumerate(reports):
             ddt._CONTEXTS.clear()
-            assert rep == power_uniformity(f, d, rep.c), (p, n, d, rep.c)
-            key = (lookup, rep.c)
+            assert rep == power_uniformity(f, d, c), (p, n, d, c)
+            key = (lookup, c)
             if key not in general:
-                general[key] = general_uniformity(f, lookup, rep.c)
-            _assert_spectra_agree(f, d, rep, general[key])
+                general[key] = general_uniformity(f, lookup, c)
+            _assert_spectra_agree(f, d, c, rep, general[key])
 
 
 @pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (2, 4), (3, 3), (5, 2), (7, 1)])
@@ -204,16 +203,15 @@ def test_slab_reports_equal_one_report_per_row():
         hists[np.arange(rows), gen.integers(0, width, rows)] += 1   # no empty row
         hists[0] = 0
         hists[0, 0] = 3                                             # a row with v = 0 only
-        cs = gen.integers(0, 10**6, rows).tolist()
         for mode in ("full", "power-reduced"):
             expected = []
-            for c, hist in zip(cs, hists):
+            for hist in hists:
                 values = np.flatnonzero(hist)
                 u = int(values[-1])
-                expected.append(CDDTReport(c, u, tuple(zip(values.tolist(),
-                                                           hist[values].tolist())),
+                expected.append(CDDTReport(u, tuple(zip(values.tolist(),
+                                                        hist[values].tolist())),
                                            classification_of(u), mode))
-            assert ddt._slab_reports(cs, hists, mode) == expected
+            assert ddt._slab_reports(hists, mode) == expected
 
 
 @pytest.mark.parametrize("p,n,modulus", ORACLE_FIELDS)
@@ -275,6 +273,22 @@ def test_spectrum_is_invariant_under_d_times_p(instance):
     assert image == power_uniformity(f, d, c).spectrum
 
 
+@pytest.mark.parametrize("p,n", [(13, 1), (2, 5), (3, 3), (5, 2), (2, 6)])
+def test_inverse_exponent_at_c_has_the_report_of_d_at_c_to_the_minus_d(p, n, monkeypatch):
+    # with e = 1/d mod q-1, put y = u^d and y + a = v^d: x^e(y + a) - c x^e(y) = b
+    # becomes (u + b/c)^d - c^-d u^d = a c^-d, a bijection of the pairs (a, b),
+    # so whole reports agree.  One-row slabs, the path above 2^16, formed
+    # over 2 to 4 x-chunks on all but GF(13)
+    f = build_field(p, n)
+    m = f.q - 1
+    monkeypatch.setattr(ddt, "_SLAB_PAIRS", 16)
+    cs = np.arange(1, f.q)
+    for d in (d for d in range(1, m) if math.gcd(d, m) == 1):
+        ddt._CONTEXTS.clear()
+        assert sweep(f, PowerMap(pow(d, -1, m)), cs) == \
+            sweep(f, PowerMap(d), f.pow(cs, -d % m)), (p, n, d)
+
+
 @pytest.mark.parametrize("p,n,pairs", [(3, 5, 40), (2, 7, 40), (7, 3, 40)])
 def test_power_equals_general_sampled_above(p, n, pairs, rng):
     f = build_field(p, n)
@@ -323,8 +337,8 @@ def test_every_c_over_several_slabs_against_digit_add_rows(p, n, large_gcd):
     assert 4 * math.gcd(large_gcd, f.q - 1) >= f.q - 1
     for d in (3, f.q - 2, large_gcd):
         ddt._CONTEXTS.clear()
-        for rep in sweep(f, PowerMap(d), range(f.q)):
-            assert rep.spectrum == _digit_add_spectrum(f, d, rep.c, 1), (p, n, d, rep.c)
+        for c, rep in enumerate(sweep(f, PowerMap(d), range(f.q))):
+            assert rep.spectrum == _digit_add_spectrum(f, d, c, 1), (p, n, d, c)
 
 
 @pytest.mark.parametrize("p,n", [(3, 5), (2, 7), (5, 3), (101, 1)])
@@ -340,8 +354,8 @@ def test_power_route_over_many_x_chunks_against_digit_add_rows(p, n, pairs, rng,
     cs = sorted({0, 1, f.neg(1), f.generator, rng.randrange(f.q)})
     for d in (3, f.q - 2, rng.randrange(1, 2 * f.q)):
         monkeypatch.setattr(ddt, "_CONTEXTS", {})
-        for rep in sweep(f, PowerMap(d), cs):
-            assert rep.spectrum == _digit_add_spectrum(f, d, rep.c, 1), (p, n, d, rep.c)
+        for c, rep in zip(cs, sweep(f, PowerMap(d), cs)):
+            assert rep.spectrum == _digit_add_spectrum(f, d, c, 1), (p, n, d, c)
 
 
 def _rowwise_spectrum(f, func, c):
@@ -485,8 +499,18 @@ def test_sweep_is_ordered_and_thread_invariant():
     cs = [5, 1, 22, 0, 13]
     seq = sweep(f, PowerMap(24), cs)
     again = sweep(f, PowerMap(24), cs)
-    assert [r.c for r in seq] == sorted(cs)
+    assert seq == [power_uniformity(f, 24, c) for c in cs]
     assert seq == again
+
+
+def test_sweep_keeps_the_callers_c_order_and_repeats(rng):
+    # the i-th report is that of the i-th c, by the power route and by the
+    # general route of the map's lookup table
+    f = build_field(3, 3)
+    cs = list(range(f.q)) * 2
+    rng.shuffle(cs)
+    for func in (PowerMap(24), as_lookup(f, PowerMap(24))):
+        assert sweep(f, func, cs) == [uniformity(f, func, c) for c in cs]
 
 
 def test_sweep_of_lookup_table_takes_the_general_route():
@@ -547,7 +571,7 @@ def test_reports_are_immutable_and_hash_by_value():
     assert a == b and hash(a) == hash(b) and a is not b
     assert a != power_uniformity(f, 4, 0)
     with pytest.raises(AttributeError):
-        a.c = 7
+        a.uniformity = 7
 
 
 @pytest.mark.parametrize("name", ["subfield:0", "outside-subfield:0", "subfield:x",
@@ -591,29 +615,27 @@ def test_every_route_rejects_c_outside_the_field(route, c):
 @pytest.mark.parametrize("c", [True, np.int64(2)])
 @pytest.mark.parametrize("route", _C_ROUTES)
 def test_every_route_counts_an_integer_c_as_the_plain_int(route, c):
-    # True and np.int64 used to fail in the table lookups or leak into
-    # report.c, which json.dumps rejects
+    # True and np.int64 used to fail in the table lookups
     f = build_field(3, 2)
     got, want = route(f, c), route(f, int(c))
     if isinstance(want, np.ndarray):
         assert np.array_equal(got, want)
         return
     assert got == want
-    for report in got if isinstance(got, list) else [got]:
-        assert type(report.c) is int
 
 
 @pytest.mark.parametrize("lookup", [False, True])
 def test_sweep_counts_any_iterable_of_integer_c_as_plain_ints(lookup):
-    # an integer c-set gets one range check and its c's come back as ints
+    # an integer c-set gets one range check and its c's are read as ints
     f = build_field(3, 2)
     func = as_lookup(f, PowerMap(3)) if lookup else PowerMap(3)
-    want = sweep(f, func, [1, 2, 5, 5])
-    for cs in ([True, 5, np.int64(2), 5], np.array([5, 2, 1, 5]),
-               np.array([5, 2, 1, 5], dtype=np.uint8), (c for c in (5, 5, 2, 1))):
-        got = sweep(f, func, cs)
-        assert got == want
-        assert all(type(r.c) is int for r in got)
+    want = sweep(f, func, [1, 5, 2, 5])
+    for make in (lambda: [True, 5, np.int64(2), 5], lambda: np.array([1, 5, 2, 5]),
+                 lambda: np.array([1, 5, 2, 5], dtype=np.uint8),
+                 lambda: (c for c in (1, 5, 2, 5))):
+        assert sweep(f, func, make()) == want
+        cs = ddt._c_list(f, make())
+        assert cs == [1, 5, 2, 5] and {type(c) for c in cs} == {int}
 
 
 @pytest.mark.parametrize("bad", [2.0, "3", -1, 9, 2**70, None])
@@ -660,8 +682,10 @@ def test_sweep_checks_c_once_and_calls_power_uniformity_once_per_c(monkeypatch):
     for name in ("check_exponent", "power_uniformity"):
         spy(ddt, name)
     cs = [0, 1, 2, 2, 5, 8]
-    assert [r.c for r in ddt.sweep(f, PowerMap(3), cs)] == cs
+    got = ddt.sweep(f, PowerMap(3), cs)
     assert calls == {"power_uniformity": len(cs)}
+    ddt._CONTEXTS.clear()
+    assert got == [ddt.power_uniformity(f, 3, c) for c in cs]
     calls.clear()
     with pytest.raises(ValueError, match="c = 2.0"):
         ddt.sweep(f, PowerMap(3), [0, True, 2.0, 9])
@@ -707,8 +731,8 @@ def test_sweep_over_a_modulus_override_reads_no_report_of_the_default_field():
     for d in range(1, alt.q):
         sweep(default, PowerMap(d), range(default.q))
         lookup = as_lookup(alt, PowerMap(d))
-        for rep in sweep(alt, PowerMap(d), range(alt.q)):
-            _assert_spectra_agree(alt, d, rep, general_uniformity(alt, lookup, rep.c))
+        for c, rep in enumerate(sweep(alt, PowerMap(d), range(alt.q))):
+            _assert_spectra_agree(alt, d, c, rep, general_uniformity(alt, lookup, c))
 
 
 def test_a_count_cut_short_leaves_the_cached_context_whole(monkeypatch):
@@ -717,11 +741,11 @@ def test_a_count_cut_short_leaves_the_cached_context_whole(monkeypatch):
     f, d = build_field(2, 11), 3
     slab_reports, calls = ddt._slab_reports, []
 
-    def failing_slab_reports(cs, hists, mode):
-        calls.append(len(cs))
+    def failing_slab_reports(hists, mode):
+        calls.append(len(hists))
         if len(calls) == 3:                 # c = 0, then the first slab
             raise MemoryError
-        return slab_reports(cs, hists, mode)
+        return slab_reports(hists, mode)
 
     monkeypatch.setattr(ddt, "_slab_reports", failing_slab_reports)
     with pytest.raises(MemoryError):
