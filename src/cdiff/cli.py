@@ -52,25 +52,26 @@ def _print_csv(values) -> None:
 def _emit_reports(field: Field, d: int, cs: list[int], reports: list[CDDTReport],
                   csv: bool) -> None:
     """The report of each c of `cs` as JSON-lines records, or as a CSV header
-    and rows.  A record is byte-identical to `_print_record` of its dict: keys
-    in sorted order, strings through json's ASCII encoder.  The keys after "c"
-    are rendered once per distinct report, which the c's of an orbit share."""
+    and rows, byte-identical to `_print_record` of its dict (sorted keys,
+    strings through json's ASCII encoder) or to `_print_csv` of its values (no
+    value after c holds a comma).  The text after c is rendered once per
+    distinct report, which the c's of an orbit share."""
     if csv:
         _print_csv(("p", "n", "d", "c", "uniformity", "classification", "spectrum"))
-        for c, report in zip(cs, reports):
-            _print_csv((field.p, field.n, d, c, report.uniformity, report.classification,
-                        ";".join(f"{v}:{m}" for v, m in report.spectrum)))
-        return
-    write, tails = sys.stdout.write, {}     # report -> its record after "c"
+    write, tails = sys.stdout.write, {}     # report -> its text after c
     for c, report in zip(cs, reports):
         if (tail := tails.get(report)) is None:
-            spectrum = ",".join(f"[{v},{m}]" for v, m in report.spectrum)
-            tail = tails[report] = (
-                f'"classification":{_json_str(report.classification)},"d":{d},'
-                f'"mode":{_json_str(report.mode)},"n":{field.n},"p":{field.p},'
-                f'"record":"uniformity","schema":"{SCHEMA}","spectrum":[{spectrum}],'
-                f'"uniformity":{report.uniformity}}}\n')
-        write(f'{{"c":{c},{tail}')
+            if csv:
+                spectrum = ";".join(f"{v}:{m}" for v, m in report.spectrum)
+                tail = f",{report.uniformity},{report.classification},{spectrum}\n"
+            else:
+                spectrum = ",".join(f"[{v},{m}]" for v, m in report.spectrum)
+                tail = (f',"classification":{_json_str(report.classification)},"d":{d},'
+                        f'"mode":{_json_str(report.mode)},"n":{field.n},"p":{field.p},'
+                        f'"record":"uniformity","schema":"{SCHEMA}","spectrum":[{spectrum}],'
+                        f'"uniformity":{report.uniformity}}}\n')
+            tails[report] = tail
+        write(f"{field.p},{field.n},{d},{c}{tail}" if csv else f'{{"c":{c}{tail}')
 
 
 def _cmd_field(args) -> int:

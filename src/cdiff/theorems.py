@@ -11,7 +11,7 @@ counterexample at these field sizes).  Upper-bound rows additionally record
 the attained maximum, distinguishing a tight bound from a vacuous one.
 Value-set rows compare the set of uniformities an exponent's last branch
 observed against the expected set, in a run that `verify_case` appends; it
-is not a grid entry.
+is not on the grid.
 """
 
 from __future__ import annotations
@@ -70,27 +70,16 @@ Prediction = Union[Exact, UpperBound, ValueSet]
 
 
 # ---------------------------------------------------------------------------
-# Grid entries and reports
+# Branch runs and reports
 # ---------------------------------------------------------------------------
 
-class GridEntry(NamedTuple):
-    """The c's that one branch of a row accepts at one exponent, as an
-    ascending int64 array of encodings; `c` is None, as an entry holds many."""
-    p: int
-    n: int
-    d: int
-    k: int | None
-    c_label: str
-    predicted: Prediction
-    c_values: np.ndarray
-    c = None
-
-
 class BranchRun(NamedTuple):
-    """A grid entry's checks as columns: `observed[i]` and `ok[i]` are the
-    uniformity seen at `c_values[i]` and its verdict.  The value-set run that
-    `verify_case` appends has c = None and observes the sorted set its branch
-    run observed.  The columns are tuples, so a run compares by value."""
+    """One branch of a row at one exponent: its ascending c's, and the columns
+    `observed[i]` and `ok[i]`, the uniformity seen at `c_values[i]` and its
+    verdict, empty until `verify_case` fills them; `c` is None, as a run holds
+    many c's.  The value-set run that `verify_case` appends has c_values
+    (None,) and observes the sorted set its branch run observed.  The columns
+    are tuples, so a run compares by value."""
     p: int
     n: int
     d: int
@@ -98,8 +87,9 @@ class BranchRun(NamedTuple):
     c_label: str
     predicted: Prediction
     c_values: tuple[int | None, ...]
-    observed: tuple[int | tuple[int, ...], ...]
-    ok: tuple[bool, ...]
+    observed: tuple[int | tuple[int, ...], ...] = ()
+    ok: tuple[bool, ...] = ()
+    c = None
 
 
 @dataclass(frozen=True)
@@ -148,10 +138,10 @@ class Row:
     field.  The default grid runs the family over `fields`, declared in (p, n,
     k) order, whose entries are (p, n), or (p, n, k) to keep only that k.  For
     each exponent, in (p, n, d) order, the grid holds, branch by branch, one
-    entry with the ascending array of c's the branch accepts, from one mask
-    over the field's elements, if it accepts any; `sweep` gives the field's
-    value set, if known, for the uniformities the last branch observes at
-    each exponent.
+    unchecked `BranchRun` of the ascending c's the branch accepts, from one
+    mask over the field's elements, if it accepts any; `sweep` gives the
+    field's value set, if known, for the uniformities the last branch
+    observes at each exponent.
 
     At (field, d, c) the row looks up the first family exponent e that is the
     same map as x^d (e = d mod q-1); it applies when one of its branches,
@@ -189,7 +179,7 @@ class Row:
                              if self._mask(b, field, k, cs)[0]), None)
         return None
 
-    def default_instances(self, max_size: int) -> list[GridEntry]:
+    def default_instances(self, max_size: int) -> list[BranchRun]:
         out = []
         for p, n, *pinned_k in [e for e in self.fields if e[0]**e[1] <= max_size]:
             f = build_field(p, n)
@@ -198,8 +188,8 @@ class Row:
                     for branch in self.branches:
                         cs = np.flatnonzero(self._mask(branch, f, k, f.elements()))
                         if len(cs):
-                            out.append(GridEntry(p, n, d, k, _at(branch.label, f, k),
-                                                 _at(branch.predicted, f, k), cs))
+                            out.append(BranchRun(p, n, d, k, _at(branch.label, f, k),
+                                                 _at(branch.predicted, f, k), tuple(cs.tolist())))
         return out
 
 
@@ -456,27 +446,26 @@ def applicable_cases(field: Field, d: int, c: int) -> list[Row]:
 # ---------------------------------------------------------------------------
 
 def verify_case(case: Row, max_size: int = DEFAULT_SIZE_CAP) -> VerificationReport:
-    """Check every grid entry of a case up to `max_size`; reports (never
-    raises) on prediction failure, as one branch run per entry in grid order.
-    The entries with one (field, d) are one `ddt.sweep` over their c-arrays,
-    whose reports come in the arrays' order and split at their lengths.  It
+    """Check every grid run of a case up to `max_size`; reports (never raises)
+    on prediction failure, as the grid's runs with their columns filled, in
+    grid order.  The runs with one (field, d) are one `ddt.sweep` over their
+    c's, and each run takes its share of the uniformities in turn.  The sweep
     counts only the orbits of c that no earlier sweep in the process has
-    counted for d's exponent class, so rows that share a field and an
-    exponent class count each orbit once.  Where the row knows the field's
-    value set, a value-set run of what the exponent's last branch observed
-    follows its runs.  To check a row on other fields, give it other fields
+    counted for d's exponent class, so rows that share a field and an exponent
+    class count each orbit once.  Where the row knows the field's value set, a
+    value-set run of what the exponent's last branch observed follows its
+    runs.  To check a row on other fields, give it other fields
     (`dataclasses.replace(row, fields=...)`)."""
     runs = []
     for (p, n, d), group in groupby(case.default_instances(max_size),
                                     attrgetter("p", "n", "d")):
         group, f = list(group), build_field(p, n)
-        cs = np.concatenate([entry.c_values for entry in group])
+        cs = [c for run in group for c in run.c_values]
         swept = np.array([r.uniformity for r in sweep(f, PowerMap(d), cs)])
-        observed = np.split(swept, np.cumsum([len(entry.c_values) for entry in group[:-1]]))
-        for entry, obs in zip(group, observed):
-            ok = entry.predicted.check(obs)
-            runs.append(BranchRun(*entry[:-1], tuple(entry.c_values.tolist()),
-                                  tuple(obs.tolist()), tuple(ok.tolist())))
+        for run in group:
+            observed, swept = swept[:len(run.c_values)], swept[len(run.c_values):]
+            runs.append(run._replace(observed=tuple(observed.tolist()),
+                                     ok=tuple(run.predicted.check(observed).tolist())))
         if (values := case.sweep(f)) is not None:
             label = _at(case.branches[-1].label, f, group[0].k)
             seen = tuple(sorted({u for run in runs[-len(group):] if run.c_label == label

@@ -105,8 +105,15 @@ MUTANTS = (
            "for run in runs[-len(group):]",
            ("tests/test_theorems.py::test_verify_value_set_instance",)),
     Mutant("registry sweep asked for each c twice", "src/cdiff/theorems.py",
-           "sweep(f, PowerMap(d), cs)", "sweep(f, PowerMap(d), np.concatenate([cs, cs]))",
+           "cs = [c for run in group for c in run.c_values]",
+           "cs = [c for run in group for c in run.c_values] * 2",
            ("tests/test_theorems.py::test_verify_asks_for_each_grid_c_once",)),
+    Mutant("each later run of a group reads its uniformities one c early",
+           "src/cdiff/theorems.py",
+           "swept[:len(run.c_values)], swept[len(run.c_values):]",
+           "swept[:len(run.c_values)], swept[len(run.c_values) - 1:]",
+           ("tests/test_theorems.py::test_verify_value_set_instance",
+            "tests/test_cli.py::test_verify_output_is_pinned")),
     Mutant("sweep reports in ascending-c order, not the caller's", "src/cdiff/ddt.py",
            "return cs.tolist()", "return np.sort(cs).tolist()",
            ("tests/test_ddt.py::test_sweep_keeps_the_callers_c_order_and_repeats",
@@ -117,13 +124,13 @@ MUTANTS = (
            "return [reports[k] for k in sorted(keys)]",
            ("tests/test_ddt.py::test_sweep_keeps_the_callers_c_order_and_repeats",
             "tests/test_cli.py::test_verify_output_is_pinned")),
+    # the memo's lookup and its store both keyed by the uniformity: a mutant of
+    # the lookup alone misses and renders again, which changes no output
     Mutant("a record's text reused for every report of its uniformity", "src/cdiff/cli.py",
-           "if (tail := tails.get(report)) is None:\n"
-           "            spectrum = \",\".join(f\"[{v},{m}]\" for v, m in report.spectrum)\n"
-           "            tail = tails[report] = (",
-           "if (tail := tails.get(report.uniformity)) is None:\n"
-           "            spectrum = \",\".join(f\"[{v},{m}]\" for v, m in report.spectrum)\n"
-           "            tail = tails[report.uniformity] = (",
+           "write, tails = sys.stdout.write, {}",
+           "write, tails = sys.stdout.write, type('ByUniformity', (dict,), {"
+           "'get': lambda s, r: dict.get(s, r.uniformity), "
+           "'__setitem__': lambda s, r, t: dict.__setitem__(s, r.uniformity, t)})()",
            ("tests/test_cli.py::test_sweep_records_are_the_reports_of_their_own_c",)),
     Mutant("a grid entry drops its last c", "src/cdiff/theorems.py",
            "cs = np.flatnonzero(self._mask(branch, f, k, f.elements()))",

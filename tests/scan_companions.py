@@ -12,6 +12,17 @@ each on a few points.  This script checks them everywhere in these ranges:
 3. `cm_zero_count` for the same (n, k) with n <= 16, at m = n / gcd(n, k).
 4. `jacobsthal_counts` over every odd field with q <= 2^16: N1 = N2 =
    (q - 4 - eta(2)) / 2.
+5. Whole Gold spectra: for n = 3..22 and every k < n, x^(2^k+1) over
+   GF(2^n) at one c outside GF(2^gcd(n, k)), drawn with the seed (n, k).
+   Its a = 1 row's histogram (the power-route spectrum less the analytic
+   a = 0 row) equals `gold_solution_distribution(n, k).counts` plus one b
+   for `zero_beta_solutions`.
+6. Whole half-Gold spectra: every x^((p^k+1)/2), k < 2n and k != n, at
+   c = -1 over every odd field with n >= 2 and q <= 20,000.  Its a = 1 row's
+   histogram equals the count of counts of the Dickson values D_d(x).
+
+Parts 5 and 6 check observations, not derivations: the repo derives neither
+identity, so a mismatch says the observation fails there.
 
 The field cache is cleared after each field, so memory stays flat.
 
@@ -30,9 +41,12 @@ import sys
 import time
 from collections import Counter
 
-from cdiff import closedform, field
-from cdiff.closedform import (cm_zero_count, dickson_preimage_count,
+import numpy as np
+
+from cdiff import closedform, ddt, field
+from cdiff.closedform import (cm_zero_count, dickson_preimage_count, dickson_values,
                               gold_solution_distribution, jacobsthal_counts)
+from cdiff.ddt import power_uniformity
 from cdiff.field import build_field, is_prime
 
 DICKSON_BRANCHES = ("square-disc", "nonsquare-disc", "square-disc-half",
@@ -129,9 +143,66 @@ def scan_jacobsthal() -> int:
     return _report("jacobsthal_counts", checks, bad, start)
 
 
+def a1_histogram(f, d: int, c: int) -> dict[int, int]:
+    """{count: number of b} over the a = 1 row of x^d at c != 1: the
+    power-route spectrum less the a = 0 row, (1-c) x^d = b, which has one x at
+    b = 0, and, with g = gcd(d, q-1), g x's at each of (q-1)/g b's and none
+    at the other b's."""
+    m, hist = f.q - 1, Counter(dict(power_uniformity(f, d, c).spectrum))
+    g = math.gcd(d, m)
+    hist.subtract({0: m - m // g, g: m // g})
+    hist[1] -= 1
+    return {v: number for v, number in sorted(hist.items()) if number}
+
+
+def _clear_caches() -> None:
+    field._FIELD_CACHE.clear()
+    ddt._CONTEXTS.clear()
+
+
+def scan_gold_spectra() -> int:
+    start, checks, bad = time.perf_counter(), 0, []
+    for n in range(3, 23):
+        f = build_field(2, n)
+        for k in range(1, n):
+            rng, sub = np.random.default_rng((n, k)), math.gcd(n, k)
+            while f.in_subfield(c := int(rng.integers(2, f.q)), sub):
+                pass
+            dist = gold_solution_distribution(n, k)
+            want = Counter(dict(dist.counts)) + Counter({dist.zero_beta_solutions: 1})
+            got = a1_histogram(f, 2**k + 1, c)
+            checks += 1
+            if got != want:
+                bad.append(f"n = {n} k = {k} c = {c}: a = 1 row {got}, "
+                           f"companion {dict(sorted(want.items()))}")
+        _clear_caches()
+    return _report("Gold spectra", checks, bad, start)
+
+
+def scan_half_gold_spectra() -> int:
+    start, checks, bad = time.perf_counter(), 0, []
+    for p, n in odd_fields(20_000):
+        if n < 2:
+            continue
+        f = build_field(p, n)
+        for k in range(1, 2 * n):
+            if k == n:
+                continue
+            d = (p**k + 1) // 2
+            counts = np.bincount(np.bincount(dickson_values(f, d), minlength=f.q))
+            want = {v: int(number) for v, number in enumerate(counts) if number}
+            got = a1_histogram(f, d, p - 1)
+            checks += 1
+            if got != want:
+                bad.append(f"GF({p}^{n}) k = {k}: a = 1 row {got}, Dickson {want}")
+        _clear_caches()
+    return _report("half-Gold spectra", checks, bad, start)
+
+
 def main() -> int:
     start = time.perf_counter()
-    failed = scan_dickson() + scan_gold() + scan_cm_zeros() + scan_jacobsthal()
+    failed = (scan_dickson() + scan_gold() + scan_cm_zeros() + scan_jacobsthal()
+              + scan_gold_spectra() + scan_half_gold_spectra())
     print(f"companion scan: {failed} mismatches, {time.perf_counter() - start:.1f} s")
     return 1 if failed else 0
 

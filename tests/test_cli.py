@@ -466,12 +466,19 @@ def test_sweep_json_output_is_pinned(capsys, argv, digest):
 @pytest.mark.parametrize("p,n,d", [(3, 4, 4), (3, 5, 11), (2, 8, 7)])
 def test_sweep_records_are_the_reports_of_their_own_c(capsys, p, n, d):
     # in each sweep some reports share a uniformity but not a spectrum, so a
-    # record's text must come from its own c's report
-    code, out, _ = run_cli(capsys, "sweep", "-p", str(p), "-n", str(n), "-d", str(d))
+    # record's text, JSON or CSV, must come from its own c's report
+    argv = ("sweep", "-p", str(p), "-n", str(n), "-d", str(d))
+    code, out, _ = run_cli(capsys, *argv)
     f = build_field(p, n)
+    reports = [power_uniformity(f, d, c) for c in range(f.q)]
     want = [{"schema": "cdiff/1", "record": "uniformity", "p": p, "n": n, "d": d, "c": c,
-             **power_uniformity(f, d, c)._asdict()} for c in range(f.q)]
+             **report._asdict()} for c, report in enumerate(reports)]
     assert code == 0 and records(out) == json.loads(json.dumps(want))
+    code, out, _ = run_cli(capsys, *argv, "--csv")
+    rows = [f"{p},{n},{d},{c},{r.uniformity},{r.classification},"
+            + ";".join(f"{v}:{m}" for v, m in r.spectrum) for c, r in enumerate(reports)]
+    assert code == 0 and out.splitlines() == [
+        "p,n,d,c,uniformity,classification,spectrum", *rows]
 
 
 def test_installed_entry_point_runs():
