@@ -169,7 +169,7 @@ def scan_gold_spectra() -> int:
             while f.in_subfield(c := int(rng.integers(2, f.q)), sub):
                 pass
             dist = gold_solution_distribution(n, k)
-            want = Counter(dict(dist.counts)) + Counter({dist.zero_beta_solutions: 1})
+            want = Counter(dist.counts_dict()) + Counter({dist.zero_beta_solutions: 1})
             got = a1_histogram(f, 2**k + 1, c)
             checks += 1
             if got != want:
