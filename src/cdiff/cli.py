@@ -11,7 +11,6 @@ import argparse
 import json
 import os
 import sys
-from json.encoder import encode_basestring_ascii as _json_str
 
 from cdiff.field import Field, build_field, DEFAULT_SIZE_CAP
 from cdiff.funcs import PowerMap
@@ -26,8 +25,14 @@ _ELEMENT_HELP = "int (reduced mod p, so 9 is 1 in GF(8)), g, or g^K"
 _THREADS_HELP = "accepted and ignored; the run is single-threaded"
 
 
-def _print_record(obj: dict) -> None:
-    print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
+def _json(obj: dict) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def _after_c(rest: dict) -> str:
+    """The text after '{"c":C,' of a record whose other keys are `rest`: "c"
+    sorts before each of them, so that is their JSON without its "{"."""
+    return _json(rest)[1:]
 
 
 def parse_element(field: Field, text: str) -> int:
@@ -44,34 +49,28 @@ def parse_element(field: Field, text: str) -> int:
     return field.g_pow(value) if power else field.from_int(value)
 
 
-def _print_csv(values) -> None:
-    """One CSV line; a value containing a comma is double-quoted."""
-    print(",".join(f'"{v}"' if "," in str(v) else str(v) for v in values))
+def _csv(values) -> str:
+    """One CSV line, newline-free; a value containing a comma is double-quoted."""
+    return ",".join(f'"{v}"' if "," in str(v) else str(v) for v in values)
 
 
 def _emit_reports(field: Field, d: int, cs: list[int], reports: list[CDDTReport],
                   csv: bool) -> None:
-    """The report of each c of `cs` as JSON-lines records, or as a CSV header
-    and rows, byte-identical to `_print_record` of its dict (sorted keys,
-    strings through json's ASCII encoder) or to `_print_csv` of its values (no
-    value after c holds a comma).  The text after c is rendered once per
-    distinct report, which the c's of an orbit share."""
+    """Each c of `cs` with its report, as JSON-lines records or as CSV rows
+    after a header; each distinct report's text after c is rendered once."""
     if csv:
-        _print_csv(("p", "n", "d", "c", "uniformity", "classification", "spectrum"))
+        print(_csv(("p", "n", "d", "c", "uniformity", "classification", "spectrum")))
     write, tails = sys.stdout.write, {}     # report -> its text after c
     for c, report in zip(cs, reports):
         if (tail := tails.get(report)) is None:
             if csv:
                 spectrum = ";".join(f"{v}:{m}" for v, m in report.spectrum)
-                tail = f",{report.uniformity},{report.classification},{spectrum}\n"
+                tail = _csv((report.uniformity, report.classification, spectrum))
             else:
-                spectrum = ",".join(f"[{v},{m}]" for v, m in report.spectrum)
-                tail = (f',"classification":{_json_str(report.classification)},"d":{d},'
-                        f'"mode":{_json_str(report.mode)},"n":{field.n},"p":{field.p},'
-                        f'"record":"uniformity","schema":"{SCHEMA}","spectrum":[{spectrum}],'
-                        f'"uniformity":{report.uniformity}}}\n')
+                tail = _after_c({"schema": SCHEMA, "record": "uniformity", "p": field.p,
+                                 "n": field.n, "d": d, **report._asdict()})
             tails[report] = tail
-        write(f"{field.p},{field.n},{d},{c}{tail}" if csv else f'{{"c":{c}{tail}')
+        write(f"{field.p},{field.n},{d},{c},{tail}\n" if csv else f'{{"c":{c},{tail}\n')
 
 
 def _cmd_field(args) -> int:
@@ -83,15 +82,15 @@ def _cmd_field(args) -> int:
             raise ValueError(f"modulus {args.modulus!r} is not a comma-separated "
                              f"list of ints") from None
     f = build_field(args.p, args.n, modulus=modulus)
-    _print_record({"schema": SCHEMA, "record": "field", **json.loads(f.to_json())})
+    print(_json({"schema": SCHEMA, "record": "field", **json.loads(f.to_json())}))
     return 0
 
 
 def _cmd_eval(args) -> int:
     f = build_field(args.p, args.n)
     x = parse_element(f, args.x)
-    _print_record({"schema": SCHEMA, "record": "eval", "p": f.p, "n": f.n,
-                   "d": args.d, "x": x, "value": f.pow(x, args.d)})
+    print(_json({"schema": SCHEMA, "record": "eval", "p": f.p, "n": f.n,
+                 "d": args.d, "x": x, "value": f.pow(x, args.d)}))
     return 0
 
 
@@ -117,22 +116,18 @@ def _cmd_sweep(args) -> int:
 
 
 def _instance_lines(report: theorems.VerificationReport) -> str:
-    """A row's instance records, one per c of each branch run's columns, each
-    byte-identical to `_print_record` of its dict: keys in sorted order,
-    strings through json's ASCII encoder.  The keys between "c" and
-    "observed", and those after "ok", are one template per run."""
-    case_json = _json_str(report.case_id)
+    """A row's instance records, one per c of each branch run's columns.  The
+    text after c is rendered once per distinct (observed, ok) of a run."""
     lines = []
     for run in report.runs:
-        mid = (f',"case":{case_json},"condition":{_json_str(run.c_label)},"d":{run.d},'
-               f'"k":{"null" if run.k is None else run.k},"n":{run.n},"observed":')
-        tail = (f',"p":{run.p},"predicted":{_json_str(run.predicted.render())},'
-                f'"record":"instance","schema":"{SCHEMA}"}}\n')
+        fixed = {"schema": SCHEMA, "record": "instance", "case": report.case_id,
+                 "condition": run.c_label, "p": run.p, "n": run.n, "d": run.d,
+                 "k": run.k, "predicted": run.predicted.render()}
+        tails = {}                          # (observed, ok) -> the text after c
         for c, observed, ok in zip(run.c_values, run.observed, run.ok):
-            if isinstance(observed, tuple):
-                observed = "[" + ",".join(map(str, observed)) + "]"
-            lines.append(f'{{"c":{"null" if c is None else c}{mid}{observed},'
-                         f'"ok":{"true" if ok else "false"}{tail}')
+            if (tail := tails.get((observed, ok))) is None:
+                tail = tails[observed, ok] = _after_c({**fixed, "observed": observed, "ok": ok})
+            lines.append(f'{{"c":{"null" if c is None else c},{tail}\n')
     return "".join(lines)
 
 
@@ -153,10 +148,10 @@ def _cmd_verify(args) -> int:
         if not report.runs:         # a row whose grid --max-size drops prints nothing
             continue
         sys.stdout.write(_instance_lines(report))
-        _print_record({"schema": SCHEMA, "record": "case-verdict",
-                       "case": report.case_id, "passed": report.passed,
-                       "instances": sum(len(run.c_values) for run in report.runs),
-                       "max_attained": report.max_attained})
+        print(_json({"schema": SCHEMA, "record": "case-verdict",
+                     "case": report.case_id, "passed": report.passed,
+                     "instances": sum(len(run.c_values) for run in report.runs),
+                     "max_attained": report.max_attained}))
         printed, failed = True, failed or not report.passed
     if not printed:
         raise _no_instance_error(ids, args.max_size)
@@ -168,9 +163,9 @@ def _cmd_table(args) -> int:
     if not rows:
         raise _no_instance_error(None, args.max_size)
     if args.csv:
-        _print_csv(theorems.TABLE_COLUMNS)
+        print(_csv(theorems.TABLE_COLUMNS))
         for row in rows:
-            _print_csv(row[h] for h in theorems.TABLE_COLUMNS)
+            print(_csv(row[h] for h in theorems.TABLE_COLUMNS))
     else:
         sys.stdout.write(markdown)
     return 1 if any(row["verdict"] != "pass" for row in rows) else 0
@@ -182,27 +177,27 @@ def _cmd_dickson(args) -> int:
         x0 = parse_element(f, args.preimage)
         r = dickson_preimage_count(f, args.m, x0)
         params = dickson_params(f, args.m)
-        _print_record({"schema": SCHEMA, "record": "dickson-preimage",
-                       "p": f.p, "n": f.n, "m": args.m, "x0": r.x0,
-                       "value": r.value, "count": r.count,
-                       "predicted": r.predicted, "branch": r.branch,
-                       "m_gcd": params.m_gcd, "lbar": params.lbar,
-                       "two_adic_r": params.r})
+        print(_json({"schema": SCHEMA, "record": "dickson-preimage",
+                     "p": f.p, "n": f.n, "m": args.m, "x0": r.x0,
+                     "value": r.value, "count": r.count,
+                     "predicted": r.predicted, "branch": r.branch,
+                     "m_gcd": params.m_gcd, "lbar": params.lbar,
+                     "two_adic_r": params.r}))
         return 1 if r.count != r.predicted else 0
     values = dickson_values(f, args.m)
-    _print_record({"schema": SCHEMA, "record": "dickson-values",
-                   "p": f.p, "n": f.n, "m": args.m,
-                   "values": [int(v) for v in values]})
+    print(_json({"schema": SCHEMA, "record": "dickson-values",
+                 "p": f.p, "n": f.n, "m": args.m,
+                 "values": [int(v) for v in values]}))
     return 0
 
 
 def _cmd_gold_dist(args) -> int:
     dist = gold_solution_distribution(args.n, args.k)
-    _print_record({"schema": SCHEMA, "record": "gold-distribution",
-                   "n": dist.n, "k": dist.k,
-                   "counts": [list(pair) for pair in dist.counts],
-                   "zero_beta_solutions": dist.zero_beta_solutions,
-                   "predicted": [list(pair) for pair in dist.predicted]})
+    print(_json({"schema": SCHEMA, "record": "gold-distribution",
+                 "n": dist.n, "k": dist.k,
+                 "counts": [list(pair) for pair in dist.counts],
+                 "zero_beta_solutions": dist.zero_beta_solutions,
+                 "predicted": [list(pair) for pair in dist.predicted]}))
     counts = dist.counts_dict()
     return 1 if any(counts.get(m, 0) != number for m, number in dist.predicted) else 0
 
@@ -215,8 +210,8 @@ def _cmd_partition(args) -> int:
         cells.append({"eta_x_plus_1": key[0], "eta_x": key[1],
                       "size": len(part.cells[key]),
                       "elements": list(part.cells[key])})
-    _print_record({"schema": SCHEMA, "record": "sign-partition",
-                   "p": f.p, "n": f.n, "cells": cells})
+    print(_json({"schema": SCHEMA, "record": "sign-partition",
+                 "p": f.p, "n": f.n, "cells": cells}))
     return 0
 
 

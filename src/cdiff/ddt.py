@@ -360,9 +360,9 @@ def uniformity(field: Field, func: FunctionSpec, c: int) -> CDDTReport:
 
 
 def _c_list(field: Field, c_values) -> list[int]:
-    """The c's as a list of plain ints, in the given order.  An integer array
-    gets one range check; any other c-set is checked c by c, which names the
-    first c that is not an element."""
+    """The c's as a list of plain ints, in the given order.  One range check
+    covers a c-set that numpy reads as a 1-D in-range integer array, a list
+    of ints too; any other is checked c by c, naming the first non-element."""
     values = c_values if isinstance(c_values, np.ndarray) else list(c_values)
     cs = np.asarray(values)
     if not (cs.dtype.kind in "iu" and cs.ndim == 1

@@ -8,6 +8,7 @@ import random
 import pytest
 
 from cdiff import ddt
+from cdiff.field import build_field
 
 
 # (p, n, modulus) of the fields whose tables are checked against the oracles;
@@ -196,6 +197,21 @@ def brute_uniformity(field, eval_fn, c):
             counts[b] = counts.get(b, 0) + 1
         best = max(best, max(counts.values()))
     return best
+
+
+def off_grid_entries(row, p: int, n: int) -> tuple:
+    """The `fields` entries that check `row` over GF(p^n) where its default
+    grid does not: (p, n) if no grid entry names the field, else (p, n, k)
+    for each k of the family that no entry (p, n, k) pins.  Empty if an
+    entry (p, n) covers the field or no exponent is left."""
+    entries = [e for e in row.fields if e[:2] == (p, n)]
+    if any(len(e) == 2 for e in entries):
+        return ()
+    family = row.family(build_field(p, n))
+    if not entries:
+        return ((p, n),) if family else ()
+    pinned = {e[2] for e in entries}
+    return tuple((p, n, k) for k in dict.fromkeys(k for _, k in family) if k not in pinned)
 
 
 @pytest.fixture(autouse=True)

@@ -132,6 +132,28 @@ MUTANTS = (
            "'get': lambda s, r: dict.get(s, r.uniformity), "
            "'__setitem__': lambda s, r, t: dict.__setitem__(s, r.uniformity, t)})()",
            ("tests/test_cli.py::test_sweep_records_are_the_reports_of_their_own_c",)),
+    # keyed by the verdict alone in both places; as above, a mutant of the
+    # lookup or of the store alone renders again and changes no output, and
+    # one keyed by `observed` alone changes none either, since a run's verdict
+    # follows from its observed value
+    Mutant("instance text reused across observed values with one verdict",
+           "src/cdiff/cli.py",
+           "if (tail := tails.get((observed, ok))) is None:\n"
+           "                tail = tails[observed, ok] =",
+           "if (tail := tails.get(ok)) is None:\n"
+           "                tail = tails[ok] =",
+           ("tests/test_cli.py::test_verify_output_is_pinned",)),
+    Mutant("a comma-holding CSV value left unquoted", "src/cdiff/cli.py",
+           """f'"{v}"' if "," in str(v) else str(v) for v in values""",
+           "str(v) for v in values",
+           ("tests/test_cli.py::test_csv_output_is_pinned[argv0-eadb880c8d6066ab957430038e539cba"
+            "7252008a7a73e290c66a975e02c344d2]",
+            "tests/test_cli.py::test_csv_output_is_pinned[argv2-b5561240bfdbe35764929fee11c1f15f"
+            "51e4cdbeb79bdba0bbce8eeed68748ce]")),
+    Mutant("text after c cut one character late", "src/cdiff/cli.py",
+           "return _json(rest)[1:]", "return _json(rest)[2:]",
+           ("tests/test_cli.py::test_verify_output_is_pinned",
+            "tests/test_cli.py::test_uniformity_lines_are_sorted_key_json[argv0]")),
     Mutant("a grid entry drops its last c", "src/cdiff/theorems.py",
            "cs = np.flatnonzero(self._mask(branch, f, k, f.elements()))",
            "cs = np.flatnonzero(self._mask(branch, f, k, f.elements()))[:-1]",

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import pathlib
 import re
@@ -6,10 +8,11 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from cdiff.cli import main, parse_element
 from cdiff.ddt import power_uniformity
-from cdiff.field import build_field
+from cdiff.field import DEFAULT_SIZE_CAP, build_field, is_prime
 from cdiff import theorems
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -500,3 +503,70 @@ def test_closed_stdout_exits_141_quietly(argv):
         proc.stdout.close()
         assert proc.stderr.read() == b""
         assert proc.wait() == 141
+
+
+# valid ints and small degrees drawn more often, so that most lines reach
+# the library
+_INTS = st.one_of(st.integers(1, 3000).map(str), st.integers(-3, 3000).map(str),
+                  st.sampled_from(["abc", "2.5", "10**20", str(10**20)]))
+_ELEMENTS = st.one_of(st.just("g"), st.integers(-20, 2000).map("g^{}".format),
+                      st.integers(-3000, 3000).map(str),
+                      st.sampled_from(["x", "g^", "1.5", "", "g^g", " g "]))
+_C_SETS = ["all", "not-one", "not-pm-one", "subfield:1", "subfield:2",
+           "outside-subfield:1", "outside-subfield:3", "subfield:0", "subfield:x", "nope", ""]
+
+
+@st.composite
+def _command_lines(draw):
+    """A command line of any subcommand, with valid and invalid arguments,
+    but no valid field with 1,024 < q <= 2^22, where a `spectrum` or a full
+    `sweep` runs long."""
+    command = draw(st.sampled_from(["field", "eval", "uniformity", "spectrum", "sweep",
+                                    "verify", "table", "dickson", "gold-dist", "partition"]))
+    p = 2 if command == "gold-dist" else draw(st.sampled_from(
+        [2, 3, 5, 7, 11, 13, 31, 1021, 0, 1, 4, -3]))
+    n = draw(st.integers(1, 6) | st.integers(-1, 25))
+    assume(command in ("verify", "table") or not (
+        is_prime(p) and n >= 1 and 1024 < p**n <= DEFAULT_SIZE_CAP))
+    field = ["-p", str(p), "-n", str(n)]
+    csv = ["--csv"] * draw(st.booleans())
+    threads = ["--threads", "4"] * draw(st.booleans())
+    max_size = ["--max-size", str(draw(st.integers(-1, 100)))]
+    if command == "field":
+        modulus = draw(st.sampled_from(["1,1,0,1", "2,2,1", "1,0,0,1,1", "1,1", "0,0,1",
+                                        "", "a,b"]))
+        return [command, *field, *["--modulus", modulus] * draw(st.booleans())]
+    if command == "eval":
+        return [command, *field, "-d", draw(_INTS), "-x", draw(_ELEMENTS)]
+    if command in ("uniformity", "spectrum"):
+        return [command, *field, "-d", draw(_INTS), "-c", draw(_ELEMENTS), *csv]
+    if command == "sweep":
+        return [command, *field, "-d", draw(_INTS), "--c-set", draw(st.sampled_from(_C_SETS)),
+                *threads, *csv]
+    if command == "verify":
+        case = draw(st.sampled_from([row.id for row in theorems.registry()] + ["nope"]))
+        return [command, *["--case", case] * draw(st.booleans()), *max_size, *threads]
+    if command == "table":
+        return [command, *max_size, *threads, *csv]
+    if command == "dickson":
+        preimage = ["--preimage", draw(_ELEMENTS)] * draw(st.booleans())
+        return [command, *field, "-m", draw(_INTS), *preimage]
+    if command == "gold-dist":
+        return [command, "-n", str(n), "-k", draw(_INTS)]
+    return [command, *field]
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(_command_lines())
+def test_every_command_line_ends_in_an_exit_code_and_its_message(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:           # argparse refuses the line
+            code = exc.code
+    assert code in (0, 1, 2), argv
+    if code == 2:
+        assert err.getvalue().startswith("cdiff: error: ") or "usage: " in err.getvalue(), argv
+    else:
+        assert out.getvalue() and err.getvalue() == "", argv

@@ -16,7 +16,7 @@ from cdiff.theorems import (Exact, UpperBound, ValueSet, BranchRun, Branch, Row,
                             registry, case_by_id, applicable_cases, verify_case,
                             verify_all, reproduce_table)
 
-from conftest import REF_CONDITIONS, RefField
+from conftest import REF_CONDITIONS, RefField, off_grid_entries
 
 EXPECTED_IDS = {
     "square", "inverse-c0", "inverse-bin-2", "inverse-bin-3", "inverse-odd-2",
@@ -412,13 +412,12 @@ _SMALL_FIELDS = [(p, n) for p in range(2, 1001) if is_prime(p)
 
 @st.composite
 def _off_grid_checks(draw):
-    """A row and a field outside its grid on which its family is not empty."""
+    """A row and the entries of one field that check the row's exponents its
+    grid leaves out there: the whole field, or the k's no grid entry pins."""
     row = draw(st.sampled_from(registry()))
-    grid = {(p, n) for p, n, *_ in row.fields}
-    fields = [(p, n) for p, n in _SMALL_FIELDS
-              if (p, n) not in grid and row.family(build_field(p, n))]
-    assume(fields)
-    return row, draw(st.sampled_from(fields))
+    checks = [entries for p, n in _SMALL_FIELDS if (entries := off_grid_entries(row, p, n))]
+    assume(checks)
+    return row, draw(st.sampled_from(checks))
 
 
 @settings(derandomize=True, deadline=None, max_examples=250)
@@ -426,8 +425,20 @@ def _off_grid_checks(draw):
 def test_claims_hold_off_their_grids(check):
     # the claims are stated for every field; a failure here is a finding
     # about the claim or its declared condition, not a reason to narrow it
-    row, (p, n) = check
-    assert verify_case(dataclasses.replace(row, fields=((p, n),))).passed, (row.id, p, n)
+    row, entries = check
+    assert verify_case(dataclasses.replace(row, fields=entries)).passed, (row.id, entries)
+
+
+def test_off_grid_entries_leave_out_only_what_the_grid_pins():
+    # an entry (p, n, k) pins one k: the scan and the property above check
+    # every other k of the family over that field
+    gold, bt = case_by_id("gold-subfield"), case_by_id("bt-rows")
+    assert off_grid_entries(gold, 2, 4) == ((2, 4, 1), (2, 4, 3))
+    assert off_grid_entries(case_by_id("gold-binary-outside"), 2, 10) == \
+        ((2, 10, 2), (2, 10, 4), (2, 10, 6), (2, 10, 8))
+    assert off_grid_entries(bt, 7, 3) == ((7, 3, 2),)
+    assert off_grid_entries(case_by_id("square"), 3, 2) == ()
+    assert off_grid_entries(gold, 5, 3) == ((5, 3),)
 
 
 # ---------------------------------------------------------------------------
